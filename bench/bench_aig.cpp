@@ -225,7 +225,6 @@ int main(int argc, char** argv) {
   const std::string e2e_name = "aes_rp";
   const Network e2e_net = make_benchmark(e2e_name);
   PipelineOptions opt = tuned_options(0.12);
-  opt.approx.num_threads = threads;
   // At 128 PIs every oracle BDD overflows any realistic budget, so fail
   // fast toward the SAT path and its sampled percentage estimates (the
   // small budgets trade exactness of the reported approximation %, never

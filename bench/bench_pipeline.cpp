@@ -78,8 +78,7 @@ SuiteRun run_suite(const std::vector<Network>& nets, int threads,
   opt.reliability.num_fault_samples = scaled(1200);
   opt.coverage.num_fault_samples = scaled(1200);
   // Explicit caps everywhere so `threads` bounds the whole process: the
-  // row tasks, the campaigns inside them, and the synthesis oracle sweeps.
-  opt.approx.num_threads = threads;
+  // row tasks and the campaigns inside them (synthesis is serial).
   opt.reliability.num_threads = threads;
   opt.coverage.num_threads = threads;
 

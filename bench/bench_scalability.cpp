@@ -64,7 +64,6 @@ void BM_PipelineSuite(benchmark::State& state) {
   opt.reliability.num_fault_samples = 300;
   opt.coverage.num_fault_samples = 300;
   // Cap the inner loops too, so Arg(1) is a genuinely serial reference.
-  opt.approx.num_threads = threads;
   opt.reliability.num_threads = threads;
   opt.coverage.num_threads = threads;
   for (auto _ : state) {

@@ -1,10 +1,7 @@
 #include "core/approx_synthesis.hpp"
 
-#include <algorithm>
-
 #include "bdd/network_bdd.hpp"
 #include "core/cube_selection.hpp"
-#include "core/task_pool.hpp"
 #include "core/trace.hpp"
 #include "core/verify.hpp"
 #include "mapping/optimize.hpp"
@@ -76,18 +73,7 @@ class SynthesisEngine {
       simulation_repair_rounds(sim_repairs);
     }
 
-    // The percentage sweep at the end runs chunked on the shared task
-    // pool, each chunk over a private oracle. The chunk count is a
-    // function of the PO count ALONE — never the thread count — because a
-    // SAT conflict-budget answer depends on the oracle's query history, so
-    // a thread-count-dependent partition would break the bit-identity
-    // contract. One chunk degenerates to the shared-oracle serial path.
     const int P = net_.num_pos();
-    const int chunks = std::max(1, std::min(4, P / 8));
-    auto chunk_begin = [&](int c) {
-      return static_cast<int>(static_cast<int64_t>(P) * c / chunks);
-    };
-
     ApproxOracle oracle(net_, approx_, options_.bdd_budget);
     oracle.set_sat_conflict_budget(options_.sat_conflict_budget);
     result.po_stats.resize(P);
@@ -193,32 +179,17 @@ class SynthesisEngine {
         }
       }
     }
-    // Final percentage sweep over the now-frozen approx network: same fixed
-    // chunking, one private oracle per chunk (approximation_pct is exact by
-    // BDD minterm counting or sampled with a fixed seed — deterministic
-    // either way). Chunk tasks write disjoint po_stats entries.
+    // Final percentage sweep over the now-frozen approx network, served by
+    // the repair oracle: approximation_pct never asks the SAT solver (it
+    // counts BDD minterms exactly, or samples with a fixed seed), and it
+    // rebuilds BDDs the repair loop dropped where a fresh build would fit,
+    // so its answers do not depend on the oracle's query history.
     {
       trace::Span s("synth.pct_sweep");
-      if (chunks > 1) {
-        TaskPool::instance().parallel_for(
-            0, chunks,
-            [&](int64_t c) {
-              const int b = chunk_begin(static_cast<int>(c));
-              const int e = chunk_begin(static_cast<int>(c) + 1);
-              ApproxOracle chunk_oracle(net_, approx_, options_.bdd_budget);
-              chunk_oracle.set_sat_conflict_budget(
-                  options_.sat_conflict_budget);
-              for (int po = b; po < e; ++po) {
-                result.po_stats[po].approximation_pct =
-                    chunk_oracle.approximation_pct(po, directions_[po]);
-              }
-            },
-            options_.num_threads);
-      } else {
-        for (int po = 0; po < P; ++po) {
-          result.po_stats[po].approximation_pct =
-              oracle.approximation_pct(po, directions_[po]);
-        }
+      oracle.refresh_approx();
+      for (int po = 0; po < P; ++po) {
+        result.po_stats[po].approximation_pct =
+            oracle.approximation_pct(po, directions_[po]);
       }
     }
     compact_unused_fanins(approx_);
@@ -459,17 +430,24 @@ class SynthesisEngine {
 
   // Backward analysis: nodes that are incorrectly approximated although
   // every fanin is correct (paper: "sources of incorrect approximation").
-  // Prefers the shared oracle's BDDs; falls back to a cone-local manager.
-  // Returns nullopt when no BDD engine can answer.
+  // Prefers the shared oracle's BDDs; falls back to simulation seeded by
+  // the SAT counterexample on BDD-hostile networks. Returns nullopt when
+  // the BDD node checks overflow the budget, so the caller restores the
+  // cone.
   std::optional<std::vector<NodeId>> find_sources(NodeId root,
                                                   ApproxOracle& oracle) {
     std::vector<bool> correct(net_.num_nodes(), true);
     if (oracle.using_bdds()) {
-      for (NodeId id : cone_of(root)) {
-        const Node& n = net_.node(id);
-        if (n.kind != NodeKind::kLogic) continue;
-        correct[id] = node_correct(type_of(id), oracle.manager(),
-                                   oracle.orig_ref(id), oracle.approx_ref(id));
+      try {
+        for (NodeId id : cone_of(root)) {
+          const Node& n = net_.node(id);
+          if (n.kind != NodeKind::kLogic) continue;
+          correct[id] =
+              node_correct(type_of(id), oracle.manager(), oracle.orig_ref(id),
+                           oracle.approx_ref(id));
+        }
+      } catch (const BddOverflow&) {
+        return std::nullopt;
       }
     } else {
       // BDD-hostile network: screen node correctness with simulation seeded
@@ -644,7 +622,8 @@ class SynthesisEngine {
       }
       std::optional<std::vector<NodeId>> sources = find_sources(root, oracle);
       if (!sources.has_value() || sources->empty()) {
-        // No BDD engine or no identifiable source: guaranteed fallback.
+        // BDD budget exhausted or no identifiable source: guaranteed
+        // fallback.
         return bail_out();
       }
       bool progress = false;

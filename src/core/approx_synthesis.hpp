@@ -64,13 +64,10 @@ struct ApproxOptions {
   int sim_words = 64;
   uint64_t seed = 0x0B5E11;
 
-  /// Parallelism cap (shared task pool) for the final approximation-
-  /// percentage sweep; 0 = apx::thread_count() (APX_THREADS policy). The
-  /// sweep is partitioned into a fixed number of chunks derived from the
-  /// PO count alone (one private oracle per chunk), so results are
-  /// bit-identical for any value. The verification screening is a serial
-  /// bit-parallel simulation prescreen plus shared-oracle exact checks of
-  /// the prescreen-clean POs; the mutating repair loop is always serial.
+  /// Ignored. Synthesis is serial: the prescreen, the repair loop and the
+  /// approximation-percentage sweep all run on one shared oracle. Kept only
+  /// because the cedbench benchmark still sets it; it goes with the next
+  /// change to that benchmark.
   int num_threads = 0;
 };
 

@@ -81,11 +81,11 @@ void ApproxOracle::build_bdds() {
     // the approx side is an evolving clone, and its near-identical cones
     // share nodes with the original's under any order) seeds the manager.
     // The OrderCache is consulted by content hash of the original, so a
-    // rebuild — the repair loop refreshes this oracle many times, and the
-    // screening/sweep stages spin up private oracles over the same pair —
-    // reuses the previously converged order and arms the reorder budget
-    // instead of re-sifting from the structural order. The hash is
-    // recomputed on every build, so any mutation of the original
+    // rebuild — the repair loop refreshes this oracle many times, and
+    // one-shot queries and repeated flows build fresh oracles over the
+    // same pair — reuses the previously converged order and arms the
+    // reorder budget instead of re-sifting from the structural order. The
+    // hash is recomputed on every build, so any mutation of the original
     // (including structural ones) keys a different entry by construction.
     uint64_t order_key = 0;
     size_t seed_budget = 0;
@@ -99,7 +99,9 @@ void ApproxOracle::build_bdds() {
     for (const PrimaryOutput& po : approx_.pos()) {
       approx_roots.push_back(po.driver);
     }
+    hostile_on_original_ = true;  // until the original's cones are built
     orig_refs_ = build_cone_bdds(*mgr_, original_, orig_roots);
+    hostile_on_original_ = false;
     // Register each held vector once it is live so any reorder — during
     // the second build or later queries — rewrites it in place.
     mgr_->register_external_refs(&orig_refs_);
@@ -114,6 +116,7 @@ void ApproxOracle::build_bdds() {
     orig_refs_.clear();
     approx_refs_.clear();
     bdd_hostile_ = true;
+    hostile_version_ = approx_.version();
   }
 }
 
@@ -323,6 +326,18 @@ bool ApproxOracle::verify(int po, ApproxDirection direction) {
 
 double ApproxOracle::approximation_pct(int po, ApproxDirection direction,
                                        int fallback_words) {
+  // Without BDDs, rebuild once if a fresh oracle's build could succeed:
+  // after a query-time overflow dropped them (no build failed), or when the
+  // last failed build overflowed on the approx side of a network that has
+  // been mutated since. A build that overflowed on the original alone
+  // would overflow again from the same order. So the answer is exact
+  // whenever a from-scratch build of the current pair fits the budget.
+  if (!bdd_ok_ &&
+      (!bdd_hostile_ || (!hostile_on_original_ &&
+                         approx_.version() != hostile_version_))) {
+    bdd_hostile_ = false;
+    build_bdds();
+  }
   if (bdd_ok_) {
     try {
       if (mgr_->reorder_pending()) mgr_->reorder();

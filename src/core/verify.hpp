@@ -130,6 +130,10 @@ class ApproxOracle {
   std::vector<BddManager::Ref> approx_refs_;
   bool bdd_ok_ = false;
   bool bdd_hostile_ = false;  // a build overflowed: skip future BDD attempts
+  // Where the last failed build overflowed: on the original's cones, or on
+  // the approx side at approx version hostile_version_.
+  bool hostile_on_original_ = false;
+  uint64_t hostile_version_ = 0;
   int64_t sat_conflict_budget_ = 50000;
   std::vector<uint8_t> last_cex_;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/trace.hpp"
 
@@ -87,46 +88,62 @@ bool SatSolver::add_clause(std::vector<Lit> lits) {
   // clauses arrive between solve() calls.
   if (!trail_lim_.empty()) backtrack(0);
   // Remove duplicates; detect tautologies; drop false literals at level 0.
+  // Cleans in place: the write cursor never passes the read cursor.
   std::sort(lits.begin(), lits.end(),
             [](Lit a, Lit b) { return a.code < b.code; });
-  std::vector<Lit> cleaned;
-  for (size_t i = 0; i < lits.size(); ++i) {
-    if (i > 0 && lits[i] == lits[i - 1]) continue;
-    if (i > 0 && lits[i].var() == lits[i - 1].var()) return true;  // taut
-    if (value(lits[i]) == Value::kTrue && level_[lits[i].var()] == 0)
+  size_t n = 0;
+  Lit prev;  // code -2 matches no literal and no variable
+  for (Lit l : lits) {
+    if (l == prev) continue;
+    if (l.var() == prev.var()) return true;  // taut
+    prev = l;
+    if (value(l) == Value::kTrue && level_[l.var()] == 0)
       return true;  // satisfied at root
-    if (value(lits[i]) == Value::kFalse && level_[lits[i].var()] == 0)
+    if (value(l) == Value::kFalse && level_[l.var()] == 0)
       continue;  // false at root: drop
-    cleaned.push_back(lits[i]);
+    lits[n++] = l;
   }
-  if (cleaned.empty()) {
+  if (n == 0) {
     unsat_ = true;
     return false;
   }
-  if (cleaned.size() == 1) {
-    if (value(cleaned[0]) == Value::kUndef) {
-      enqueue(cleaned[0], kNoReason);
+  if (n == 1) {
+    if (value(lits[0]) == Value::kUndef) {
+      enqueue(lits[0], kNoReason);
       if (propagate() != kNoReason) {
         unsat_ = true;
         return false;
       }
-    } else if (value(cleaned[0]) == Value::kFalse) {
+    } else if (value(lits[0]) == Value::kFalse) {
       unsat_ = true;
       return false;
     }
     return true;
   }
-  Clause c;
-  c.lits = std::move(cleaned);
-  clauses_.push_back(std::move(c));
-  attach_clause(static_cast<ClauseRef>(clauses_.size()) - 1);
+  attach_clause(alloc_clause(lits.data(), n, /*learnt=*/false));
   return true;
 }
 
+SatSolver::ClauseRef SatSolver::alloc_clause(const Lit* lits, size_t n,
+                                             bool learnt) {
+  const size_t cr = arena_.size();
+  // Offsets are int32 and the header holds the size shifted left by one.
+  if (cr + kHeaderWords + n > (size_t{1} << 30)) {
+    throw std::length_error("SatSolver: clause arena exceeds 2^30 words");
+  }
+  arena_.resize(cr + kHeaderWords + n);
+  arena_[cr].code = static_cast<int32_t>(n << 1) | (learnt ? 1 : 0);
+  arena_[cr + 1].code =
+      learnt ? static_cast<int32_t>(learnt_activity_.size()) : 0;
+  if (learnt) learnt_activity_.push_back(0.0);
+  std::copy(lits, lits + n, arena_.begin() + cr + kHeaderWords);
+  return static_cast<ClauseRef>(cr);
+}
+
 void SatSolver::attach_clause(ClauseRef cr) {
-  const Clause& c = clauses_[cr];
-  watches_[c.lits[0].code].push_back(cr);
-  watches_[c.lits[1].code].push_back(cr);
+  const Lit* c = clause_lits(cr);
+  watches_[c[0].code].push_back(cr);
+  watches_[c[1].code].push_back(cr);
 }
 
 void SatSolver::enqueue(Lit l, ClauseRef reason) {
@@ -136,31 +153,40 @@ void SatSolver::enqueue(Lit l, ClauseRef reason) {
   reason_[l.var()] = reason;
   polarity_[l.var()] = !l.negated();
   trail_.push_back(l);
+  // propagate() will read this watch list; start loading its header now.
+  __builtin_prefetch(&watches_[(~l).code]);
 }
 
 SatSolver::ClauseRef SatSolver::propagate() {
   while (prop_head_ < trail_.size()) {
     Lit p = trail_[prop_head_++];
+    // Watch-list loads dominate propagation on large circuits: fetch the
+    // next literal's watches while this one is processed. (Prefetches
+    // change no result, so the search stays the same.)
+    if (prop_head_ < trail_.size()) {
+      __builtin_prefetch(watches_[(~trail_[prop_head_]).code].data());
+    }
     // Clauses watching ~p must be updated.
     std::vector<ClauseRef>& watchers = watches_[(~p).code];
     size_t keep = 0;
     for (size_t i = 0; i < watchers.size(); ++i) {
       ClauseRef cr = watchers[i];
-      Clause& c = clauses_[cr];
+      Lit* c = clause_lits(cr);
+      const int size = clause_size(cr);
       // Ensure the false literal is at position 1.
       Lit false_lit = ~p;
-      if (c.lits[0] == false_lit) std::swap(c.lits[0], c.lits[1]);
+      if (c[0] == false_lit) std::swap(c[0], c[1]);
       // If first watch is true, clause is satisfied.
-      if (value(c.lits[0]) == Value::kTrue) {
+      if (value(c[0]) == Value::kTrue) {
         watchers[keep++] = cr;
         continue;
       }
       // Look for a new literal to watch.
       bool moved = false;
-      for (size_t k = 2; k < c.lits.size(); ++k) {
-        if (value(c.lits[k]) != Value::kFalse) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[c.lits[1].code].push_back(cr);
+      for (int k = 2; k < size; ++k) {
+        if (value(c[k]) != Value::kFalse) {
+          std::swap(c[1], c[k]);
+          watches_[c[1].code].push_back(cr);
           moved = true;
           break;
         }
@@ -168,7 +194,7 @@ SatSolver::ClauseRef SatSolver::propagate() {
       if (moved) continue;
       // Unit or conflict.
       watchers[keep++] = cr;
-      if (value(c.lits[0]) == Value::kFalse) {
+      if (value(c[0]) == Value::kFalse) {
         // Conflict: keep remaining watchers and report.
         for (size_t j = i + 1; j < watchers.size(); ++j) {
           watchers[keep++] = watchers[j];
@@ -177,7 +203,7 @@ SatSolver::ClauseRef SatSolver::propagate() {
         prop_head_ = trail_.size();
         return cr;
       }
-      enqueue(c.lits[0], cr);
+      enqueue(c[0], cr);
     }
     watchers.resize(keep);
   }
@@ -196,8 +222,11 @@ void SatSolver::bump_var(int var) {
 
 void SatSolver::decay_var_activity() { var_inc_ /= 0.95; }
 
-void SatSolver::analyze(ClauseRef conflict, std::vector<Lit>& learnt,
-                        int& bt_level) {
+// Derives the first-UIP clause of `conflict` into learnt_ (asserting
+// literal first, highest remaining level second); returns the backtrack
+// level.
+int SatSolver::analyze(ClauseRef conflict) {
+  std::vector<Lit>& learnt = learnt_;
   learnt.clear();
   learnt.push_back(Lit());  // placeholder for the asserting literal
   int counter = 0;
@@ -207,17 +236,21 @@ void SatSolver::analyze(ClauseRef conflict, std::vector<Lit>& learnt,
   int current_level = static_cast<int>(trail_lim_.size());
   ClauseRef reason = conflict;
 
-  std::vector<int> to_clear;
+  to_clear_.clear();
   do {
     assert(reason != kNoReason);
-    Clause& c = clauses_[reason];
-    if (c.learnt) c.activity += 1.0;
-    for (Lit q : c.lits) {
+    if (clause_learnt(reason)) {
+      learnt_activity_[arena_[reason + 1].code] += 1.0;
+    }
+    const Lit* c = clause_lits(reason);
+    const int size = clause_size(reason);
+    for (int k = 0; k < size; ++k) {
+      const Lit q = c[k];
       if (q == p) continue;
       int v = q.var();
       if (!seen_[v] && level_[v] > 0) {
         seen_[v] = true;
-        to_clear.push_back(v);
+        to_clear_.push_back(v);
         bump_var(v);
         if (level_[v] >= current_level) {
           ++counter;
@@ -237,7 +270,7 @@ void SatSolver::analyze(ClauseRef conflict, std::vector<Lit>& learnt,
   learnt[0] = ~p;
 
   // Compute backtrack level (second highest level in the clause).
-  bt_level = 0;
+  int bt_level = 0;
   if (learnt.size() > 1) {
     size_t max_i = 1;
     for (size_t i = 2; i < learnt.size(); ++i) {
@@ -246,7 +279,8 @@ void SatSolver::analyze(ClauseRef conflict, std::vector<Lit>& learnt,
     std::swap(learnt[1], learnt[max_i]);
     bt_level = level_[learnt[1].var()];
   }
-  for (int v : to_clear) seen_[v] = false;
+  for (int v : to_clear_) seen_[v] = false;
+  return bt_level;
 }
 
 void SatSolver::backtrack(int target_level) {
@@ -275,45 +309,75 @@ Lit SatSolver::pick_branch() {
 }
 
 void SatSolver::reduce_learnts() {
-  // Drop the lower-activity half of long learnt clauses. Rebuild watches.
-  std::vector<Clause> kept;
-  std::vector<std::pair<double, size_t>> learnt_scores;
-  for (size_t i = 0; i < clauses_.size(); ++i) {
-    if (clauses_[i].learnt && clauses_[i].lits.size() > 2) {
-      learnt_scores.push_back({clauses_[i].activity, i});
+  // Drop the lower-activity half of long learnt clauses (ties broken by
+  // arena position), compact the arena in place and rebuild the watches.
+  const ClauseRef end = static_cast<ClauseRef>(arena_.size());
+  std::vector<std::pair<double, ClauseRef>> learnt_scores;
+  for (ClauseRef cr = 0; cr < end; cr += kHeaderWords + clause_size(cr)) {
+    if (clause_learnt(cr) && clause_size(cr) > 2) {
+      learnt_scores.push_back({learnt_activity_[arena_[cr + 1].code], cr});
     }
   }
   if (learnt_scores.size() < 2000) return;
   std::sort(learnt_scores.begin(), learnt_scores.end());
-  std::vector<bool> drop(clauses_.size(), false);
+  // A dropped clause's slot word becomes kDropped; the slots of the others
+  // are recovered from arena order in the second pass below.
+  constexpr int32_t kDropped = -1;
   for (size_t i = 0; i < learnt_scores.size() / 2; ++i) {
-    size_t ci = learnt_scores[i].second;
+    const ClauseRef cr = learnt_scores[i].second;
     // Do not drop reason clauses of current assignments.
     bool is_reason = false;
-    for (Lit l : clauses_[ci].lits) {
-      if (reason_[l.var()] == static_cast<ClauseRef>(ci) &&
-          assign_[l.var()] != Value::kUndef) {
+    const Lit* c = clause_lits(cr);
+    for (int k = 0; k < clause_size(cr); ++k) {
+      const int v = c[k].var();
+      if (reason_[v] == cr && assign_[v] != Value::kUndef) {
         is_reason = true;
         break;
       }
     }
-    if (!is_reason) drop[ci] = true;
+    if (!is_reason) arena_[cr + 1].code = kDropped;
   }
-  std::vector<int32_t> remap(clauses_.size(), -1);
-  for (size_t i = 0; i < clauses_.size(); ++i) {
-    if (!drop[i]) {
-      remap[i] = static_cast<int32_t>(kept.size());
-      kept.push_back(std::move(clauses_[i]));
-    }
-  }
-  clauses_ = std::move(kept);
-  for (auto& w : watches_) w.clear();
-  for (size_t i = 0; i < clauses_.size(); ++i) {
-    attach_clause(static_cast<ClauseRef>(i));
+  // Pass 1: every kept clause's slot word becomes its offset after
+  // compaction, so reasons remap by one lookup (a dropped clause maps to
+  // kDropped == kNoReason, which never happens for a reason).
+  ClauseRef to = 0;
+  for (ClauseRef cr = 0; cr < end; cr += kHeaderWords + clause_size(cr)) {
+    if (arena_[cr + 1].code == kDropped) continue;
+    arena_[cr + 1].code = to;
+    to += kHeaderWords + clause_size(cr);
   }
   for (int v = 0; v < num_vars(); ++v) {
-    if (reason_[v] != kNoReason) reason_[v] = remap[reason_[v]];
+    if (reason_[v] != kNoReason) reason_[v] = arena_[reason_[v] + 1].code;
   }
+  // Pass 2: slide kept clauses down (destinations never pass their
+  // sources) and renumber learnt slots in arena order.
+  int32_t old_slot = 0, new_slot = 0;
+  for (ClauseRef cr = 0; cr < end;) {
+    const bool learnt = clause_learnt(cr);
+    const ClauseRef next = cr + kHeaderWords + clause_size(cr);
+    const ClauseRef dest = arena_[cr + 1].code;
+    if (dest != kDropped) {
+      int32_t slot = 0;
+      if (learnt) {
+        learnt_activity_[new_slot] = learnt_activity_[old_slot];
+        slot = new_slot++;
+      }
+      if (dest != cr) {
+        std::copy(arena_.begin() + cr, arena_.begin() + next,
+                  arena_.begin() + dest);
+      }
+      arena_[dest + 1].code = slot;
+    }
+    if (learnt) ++old_slot;
+    cr = next;
+  }
+  arena_.resize(to);
+  learnt_activity_.resize(new_slot);
+  for (auto& w : watches_) w.clear();
+  for (ClauseRef cr = 0; cr < to; cr += kHeaderWords + clause_size(cr)) {
+    attach_clause(cr);
+  }
+  ++reductions_total_;
 }
 
 int64_t SatSolver::luby(int64_t i) {
@@ -366,23 +430,8 @@ SatResult SatSolver::solve(const std::vector<Lit>& assumptions,
         unsat_ = true;
         return SatResult::kUnsat;
       }
-      std::vector<Lit> learnt;
-      int bt_level = 0;
-      analyze(conflict, learnt, bt_level);
-      // Never backtrack past the assumption levels.
-      int assumption_levels = 0;
-      for (size_t i = 0; i < trail_lim_.size() && i < assumptions.size(); ++i)
-        ++assumption_levels;
-      if (bt_level < assumption_levels) {
-        // Conflict depends on assumptions only -> UNSAT under assumptions.
-        if (bt_level == 0 && learnt.size() == 1 &&
-            level_[learnt[0].var()] == 0) {
-          // genuinely root-level implied; fall through
-        }
-        backtrack(bt_level);
-      } else {
-        backtrack(bt_level);
-      }
+      backtrack(analyze(conflict));
+      const std::vector<Lit>& learnt = learnt_;
       if (learnt.size() == 1) {
         if (value(learnt[0]) == Value::kFalse) {
           unsat_ = trail_lim_.empty();
@@ -392,14 +441,11 @@ SatResult SatSolver::solve(const std::vector<Lit>& assumptions,
         }
         if (value(learnt[0]) == Value::kUndef) enqueue(learnt[0], kNoReason);
       } else {
-        Clause c;
-        c.lits = std::move(learnt);
-        c.learnt = true;
-        clauses_.push_back(std::move(c));
-        ClauseRef cr = static_cast<ClauseRef>(clauses_.size()) - 1;
+        const ClauseRef cr =
+            alloc_clause(learnt.data(), learnt.size(), /*learnt=*/true);
         attach_clause(cr);
-        if (value(clauses_[cr].lits[0]) == Value::kUndef) {
-          enqueue(clauses_[cr].lits[0], cr);
+        if (value(clause_lits(cr)[0]) == Value::kUndef) {
+          enqueue(clause_lits(cr)[0], cr);
         }
       }
       decay_var_activity();

@@ -54,18 +54,27 @@ class SatSolver {
 
   int64_t num_conflicts() const { return conflicts_total_; }
   int64_t num_decisions() const { return decisions_total_; }
+  /// Learnt-clause database reductions run (each compacts the store).
+  int64_t num_reductions() const { return reductions_total_; }
 
  private:
   enum class Value : int8_t { kFalse = 0, kTrue = 1, kUndef = 2 };
 
-  struct Clause {
-    std::vector<Lit> lits;
-    bool learnt = false;
-    double activity = 0.0;
-  };
-
+  // Clause store: one flat arena of Lit-sized words. The clause at offset
+  // `cr` (its ClauseRef) occupies
+  //   arena_[cr].code      header: literal count << 1 | learnt bit
+  //   arena_[cr + 1].code  learnt clauses: slot in learnt_activity_
+  //   arena_[cr + 2 ...]   the literals, watched pair first
+  // Learnt slots follow arena order (the k-th learnt clause owns slot k),
+  // which reduce_learnts() relies on when it compacts both in place.
   using ClauseRef = int32_t;
   static constexpr ClauseRef kNoReason = -1;
+  static constexpr int kHeaderWords = 2;
+
+  int clause_size(ClauseRef cr) const { return arena_[cr].code >> 1; }
+  bool clause_learnt(ClauseRef cr) const { return arena_[cr].code & 1; }
+  Lit* clause_lits(ClauseRef cr) { return &arena_[cr + kHeaderWords]; }
+  ClauseRef alloc_clause(const Lit* lits, size_t n, bool learnt);
 
   Value value(Lit l) const {
     Value v = assign_[l.var()];
@@ -76,7 +85,7 @@ class SatSolver {
 
   void enqueue(Lit l, ClauseRef reason);
   ClauseRef propagate();
-  void analyze(ClauseRef conflict, std::vector<Lit>& learnt, int& bt_level);
+  int analyze(ClauseRef conflict);
   void backtrack(int level);
   Lit pick_branch();
   void bump_var(int var);
@@ -85,7 +94,8 @@ class SatSolver {
   void reduce_learnts();
   static int64_t luby(int64_t i);
 
-  std::vector<Clause> clauses_;
+  std::vector<Lit> arena_;
+  std::vector<double> learnt_activity_;  // indexed by learnt slot
   std::vector<std::vector<ClauseRef>> watches_;  // indexed by lit code
   std::vector<Value> assign_;
   std::vector<int> level_;
@@ -110,7 +120,11 @@ class SatSolver {
   bool unsat_ = false;
   int64_t conflicts_total_ = 0;
   int64_t decisions_total_ = 0;
-  std::vector<bool> seen_;  // scratch for analyze()
+  int64_t reductions_total_ = 0;
+  // Per-conflict scratch, reused across conflicts.
+  std::vector<bool> seen_;
+  std::vector<Lit> learnt_;
+  std::vector<int> to_clear_;
 };
 
 }  // namespace apx

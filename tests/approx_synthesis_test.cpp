@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 #include "bdd/network_bdd.hpp"
 #include "benchmarks/benchmarks.hpp"
@@ -176,6 +177,89 @@ TEST(ApproxSynthesisTest, ReducesEmbeddedBenchmarks) {
 TEST(ApproxSynthesisTest, DirectionCountMismatchThrows) {
   Network net = section2_network();
   EXPECT_THROW(synthesize_approximation(net, {}), std::logic_error);
+}
+
+// The percentage sweep runs on the repair oracle; every PO's reported
+// approximation_pct must equal what a fresh oracle over the returned
+// network gives (exact by minterm count, or sampled with the fixed seed).
+std::vector<ApproxDirection> alternating_directions(const Network& net) {
+  std::vector<ApproxDirection> dirs(net.num_pos());
+  for (int i = 0; i < net.num_pos(); ++i) {
+    dirs[i] = i % 2 ? ApproxDirection::kOneApprox
+                    : ApproxDirection::kZeroApprox;
+  }
+  return dirs;
+}
+
+void expect_pct_matches_fresh(const Network& net,
+                              const std::vector<ApproxDirection>& dirs,
+                              const ApproxOptions& opt,
+                              const std::string& label) {
+  ApproxResult r = synthesize_approximation(net, dirs, opt);
+  ASSERT_TRUE(r.all_verified()) << label;
+  for (int po = 0; po < net.num_pos(); ++po) {
+    EXPECT_EQ(r.po_stats[po].approximation_pct,
+              approximation_percentage(net, r.approx, po, dirs[po],
+                                       opt.bdd_budget))
+        << label << " po " << po;
+  }
+}
+
+TEST(ApproxSynthesisTest, PctSweepMatchesFreshOracleOnBenchSuite) {
+  for (const char* name : {"cmb", "cordic", "term1", "x1", "i2"}) {
+    const Network net = quick_synthesis(make_benchmark(name));
+    ApproxOptions opt;
+    opt.significance_threshold = 0.12;
+    expect_pct_matches_fresh(net, alternating_directions(net), opt, name);
+  }
+}
+
+// alu1 at a 82-node budget: the oracle's build fits, a verify() query
+// overflows and drops the BDDs, and the sweep must rebuild them (as a fresh
+// oracle does) instead of falling back to sampling.
+TEST(ApproxSynthesisTest, PctSweepMatchesFreshOracleAfterQueryOverflow) {
+  const Network net = quick_synthesis(make_benchmark("alu1"));
+  ApproxOptions opt;
+  opt.significance_threshold = 0.12;
+  opt.bdd_budget = 82;
+  expect_pct_matches_fresh(net, alternating_directions(net), opt, "alu1");
+}
+
+// mult32 at the AIG-scale budgets: every BDD build overflows on the
+// original network, so both the sweep and a fresh oracle sample. One fresh
+// oracle serves all 64 POs (a fresh oracle per PO, as in
+// approximation_percentage(), repeats the same overflowing build).
+TEST(ApproxSynthesisTest, PctSweepMatchesFreshOracleOnBddHostileMult32) {
+  const Network net = quick_synthesis(make_benchmark("mult32"));
+  const std::vector<ApproxDirection> dirs = alternating_directions(net);
+  ApproxOptions opt;
+  opt.significance_threshold = 0.12;
+  opt.bdd_budget = 1u << 15;
+  opt.sat_conflict_budget = 1000;
+  ApproxResult r = synthesize_approximation(net, dirs, opt);
+  ASSERT_TRUE(r.all_verified());
+  ApproxOracle fresh(net, r.approx, opt.bdd_budget);
+  EXPECT_FALSE(fresh.using_bdds());
+  for (int po = 0; po < net.num_pos(); ++po) {
+    EXPECT_EQ(r.po_stats[po].approximation_pct,
+              fresh.approximation_pct(po, dirs[po]))
+        << "po " << po;
+  }
+}
+
+// Budgets at which the repair stage's per-node BDD checks overflow the
+// shared manager: the overflow must end in a restored cone, never escape.
+TEST(ApproxSynthesisTest, SourceAnalysisOverflowRestoresInsteadOfThrowing) {
+  for (const char* name : {"cmp16", "cordic"}) {
+    const Network net = quick_synthesis(make_benchmark(name));
+    const std::vector<ApproxDirection> dirs = alternating_directions(net);
+    ApproxOptions opt;
+    opt.significance_threshold = 0.12;
+    opt.bdd_budget = 745;
+    ApproxResult r;
+    EXPECT_NO_THROW(r = synthesize_approximation(net, dirs, opt)) << name;
+    EXPECT_TRUE(r.all_verified()) << name;
+  }
 }
 
 }  // namespace

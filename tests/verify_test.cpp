@@ -351,5 +351,129 @@ TEST(VerifyOracleTest, StructuralChangeForcesRebuild) {
   EXPECT_FALSE(oracle.verify(0, ApproxDirection::kOneApprox));
 }
 
+// Twelve PIs, t_k = x_{3k} x_{3k+1} x_{3k+2}; the output ORs the first
+// `terms` products (F = t0 + t1 + t2 + t3). Given `parity_chain`, the
+// output additionally ORs in a chain of XORs over all twelve PIs, whose
+// node ids are stored there.
+Network sum_of_triples(int terms,
+                       std::vector<NodeId>* parity_chain = nullptr) {
+  Network net;
+  std::vector<NodeId> x;
+  for (int i = 0; i < 12; ++i) {
+    x.push_back(net.add_pi("x" + std::to_string(i)));
+  }
+  std::vector<NodeId> fanins;
+  for (int k = 0; k < 4; ++k) {
+    fanins.push_back(
+        net.add_and(net.add_and(x[3 * k], x[3 * k + 1]), x[3 * k + 2]));
+  }
+  fanins.resize(terms);
+  if (parity_chain != nullptr) {
+    NodeId p = x[0];
+    for (int i = 1; i < 12; ++i) {
+      p = net.add_xor(p, x[i]);
+      parity_chain->push_back(p);
+    }
+    fanins.push_back(p);
+  }
+  const int n = static_cast<int>(fanins.size());
+  Sop sop(n);
+  for (int k = 0; k < n; ++k) {
+    Cube c = Cube::full(n);
+    c.set(k, LitCode::kPos);
+    sop.add_cube(c);
+  }
+  net.add_po("f", net.add_node(fanins, std::move(sop), "f"));
+  return net;
+}
+
+// |G|/|F| for G = t0 + t1 + t2 and F = t0 + ... + t3, each t_k true with
+// probability 1/8 (exact in binary floating point).
+const double kThreeOfFourTriples =
+    (1.0 - 343.0 / 512.0) / (1.0 - 2401.0 / 4096.0);
+
+// Live BDD nodes after a cold build of the pair (no reorder at this size).
+size_t cold_build_nodes(const Network& net, const Network& approx) {
+  OrderCache::instance().clear();
+  ApproxOracle probe(net, approx);
+  EXPECT_TRUE(probe.using_bdds());
+  const size_t nodes = probe.manager().live_nodes();
+  OrderCache::instance().clear();
+  return nodes;
+}
+
+TEST(VerifyOracleTest, QueryOverflowRebuildsBddsForPercentage) {
+  const Network net = sum_of_triples(4);
+  const Network approx = sum_of_triples(3);
+  const ApproxDirection dir = ApproxDirection::kOneApprox;
+  // One node of headroom: the build fits, but the implication query needs
+  // the complement of F and overflows.
+  const size_t budget = cold_build_nodes(net, approx) + 1;
+  ApproxOracle oracle(net, approx, budget);
+  ASSERT_TRUE(oracle.using_bdds());
+  EXPECT_TRUE(oracle.verify(0, dir));  // proven by the SAT fallback
+  ASSERT_FALSE(oracle.using_bdds());
+  EXPECT_EQ(oracle.oracle_stats().sat_queries, 1u);
+  // No build failed, so a fresh oracle would build and count exactly; the
+  // shared one must rebuild rather than sample.
+  EXPECT_EQ(oracle.approximation_pct(0, dir), kThreeOfFourTriples);
+  EXPECT_TRUE(oracle.using_bdds());
+  EXPECT_EQ(approximation_percentage(net, approx, 0, dir, budget),
+            kThreeOfFourTriples);
+  OrderCache::instance().clear();
+}
+
+TEST(VerifyOracleTest, PercentageRetriesBuildAfterApproxShrinks) {
+  const Network net = sum_of_triples(4);
+  std::vector<NodeId> chain;
+  Network approx = sum_of_triples(3, &chain);
+  const ApproxDirection dir = ApproxDirection::kOneApprox;
+  const size_t with_parity = cold_build_nodes(net, approx);
+  // The repair: drop the parity term and zero the chain (id-preserving).
+  Network repaired = approx;
+  const NodeId out = repaired.po(0).driver;
+  const Sop three = *Sop::parse(4, "1---\n-1--\n--1-");
+  auto repair = [&](Network& g) {
+    g.set_sop(out, three);
+    for (NodeId id : chain) g.set_sop(id, Sop::zero(2));
+  };
+  repair(repaired);
+  const size_t after_repair = cold_build_nodes(net, repaired);
+  ASSERT_LT(after_repair + 1, with_parity);
+
+  // The first build fits the original but overflows on the approx side.
+  const size_t budget = with_parity - 1;
+  ApproxOracle oracle(net, approx, budget);
+  ASSERT_FALSE(oracle.using_bdds());
+  repair(approx);
+  oracle.refresh_approx();
+  EXPECT_FALSE(oracle.using_bdds());  // the repair loop stays on SAT
+  // A fresh oracle over the repaired pair fits the budget and counts
+  // exactly, so the sweep retries the build once instead of sampling.
+  EXPECT_EQ(oracle.approximation_pct(0, dir), kThreeOfFourTriples);
+  EXPECT_TRUE(oracle.using_bdds());
+  EXPECT_EQ(approximation_percentage(net, approx, 0, dir, budget),
+            kThreeOfFourTriples);
+  OrderCache::instance().clear();
+}
+
+TEST(VerifyOracleTest, PercentageSamplesWhenOriginalOverflows) {
+  const Network net = sum_of_triples(4);
+  Network approx = sum_of_triples(4);
+  // Four nodes cannot hold the original's cones: every build overflows on
+  // the original, so the sweep samples without retrying.
+  ApproxOracle oracle(net, approx, /*bdd_budget=*/4);
+  ASSERT_FALSE(oracle.using_bdds());
+  approx.set_sop(approx.po(0).driver,
+                 *Sop::parse(4, "1---\n-1--\n--1-"));
+  oracle.refresh_approx();
+  const ApproxDirection dir = ApproxDirection::kOneApprox;
+  const double sampled = oracle.approximation_pct(0, dir);
+  EXPECT_FALSE(oracle.using_bdds());
+  EXPECT_EQ(sampled,
+            approximation_percentage(net, approx, 0, dir, /*bdd_budget=*/4));
+  EXPECT_NE(sampled, kThreeOfFourTriples);
+}
+
 }  // namespace
 }  // namespace apx
