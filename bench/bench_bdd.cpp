@@ -48,6 +48,7 @@ Network make_weakened(const Network& net) {
 struct ModeResult {
   double build_seconds = 0.0;
   uint64_t peak_nodes = 0;
+  uint64_t final_nodes = 0;  // live nodes once every query has run
   int fallbacks = 0;  // PO cones lost to BddOverflow (SAT would answer)
   uint64_t reorder_runs = 0;
   double reorder_time_ms = 0.0;
@@ -106,6 +107,7 @@ ModeResult run_mode(const Network& net, const Network& weak, Mode mode,
     if (mgr.reorder_pending()) mgr.reorder();
   }
   r.peak_nodes = mgr.stats().peak_nodes;
+  r.final_nodes = mgr.live_nodes();
   r.reorder_runs = mgr.stats().reorder_runs;
   r.reorder_time_ms = mgr.stats().reorder_time_ms;
   r.avg_probe_length = mgr.stats().avg_probe_length();
@@ -282,11 +284,13 @@ int main(int argc, char** argv) {
       const ModeResult& mr = c.modes[m];
       std::fprintf(
           f,
-          "     \"%s\": {\"peak_nodes\": %llu, \"build_seconds\": %.4f, "
+          "     \"%s\": {\"peak_nodes\": %llu, \"final_nodes\": %llu, "
+          "\"build_seconds\": %.4f, "
           "\"fallbacks\": %d, \"reorder_runs\": %llu, "
           "\"reorder_time_ms\": %.3f, \"avg_probe_length\": %.3f},\n",
           kModeKeys[m], static_cast<unsigned long long>(mr.peak_nodes),
-          mr.build_seconds, mr.fallbacks,
+          static_cast<unsigned long long>(mr.final_nodes), mr.build_seconds,
+          mr.fallbacks,
           static_cast<unsigned long long>(mr.reorder_runs),
           mr.reorder_time_ms, mr.avg_probe_length);
     }

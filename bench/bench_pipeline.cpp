@@ -43,6 +43,7 @@ struct Row {
   int64_t erroneous = 0;
   int64_t detected = 0;
   double coverage_pct = 0.0;
+  double seconds = 0.0;  // row wall time; reported, not compared
 };
 
 struct SuiteRun {
@@ -96,8 +97,10 @@ SuiteRun run_suite(const std::vector<Network>& nets, int threads,
   TaskPool::instance().parallel_for(
       0, kNumRows,
       [&](int64_t i) {
+        Stopwatch row_watch;
         PipelineResult r = run_ced_pipeline(nets[i], opt);
         Row& row = run.rows[i];
+        row.seconds = row_watch.seconds();
         row.gates = r.mapped_original.num_logic_nodes();
         row.checkgen_gates = r.mapped_checkgen.num_logic_nodes();
         row.approx_pct = 100.0 * r.mean_approximation_pct();
@@ -171,13 +174,15 @@ int main(int argc, char** argv) {
   std::printf("traced rerun bit-identical:    %s\n\n",
               profiled_identical ? "yes" : "NO");
 
-  std::printf("%-8s %7s %9s %7s %7s %7s\n", "circuit", "gates", "checkgen",
-              "apx%", "cov%", "area%");
+  // Per-row wall seconds name the critical path: the parallel suite can
+  // finish no sooner than its slowest row.
+  std::printf("%-8s %7s %9s %7s %7s %7s %9s %9s\n", "circuit", "gates",
+              "checkgen", "apx%", "cov%", "area%", "serial_s", "par_s");
   for (int i = 0; i < kNumRows; ++i) {
     const Row& r = parallel.rows[i];
-    std::printf("%-8s %7d %9d %7.1f %7.1f %7.1f\n", kSuite[i], r.gates,
-                r.checkgen_gates, r.approx_pct, r.coverage_pct,
-                r.area_overhead_pct);
+    std::printf("%-8s %7d %9d %7.1f %7.1f %7.1f %9.3f %9.3f\n", kSuite[i],
+                r.gates, r.checkgen_gates, r.approx_pct, r.coverage_pct,
+                r.area_overhead_pct, serial.rows[i].seconds, r.seconds);
   }
 
   std::printf("\n%-36s %8s %12s %12s\n", "phase", "count", "total_ms",

@@ -7,28 +7,11 @@
 #include "core/trace.hpp"
 #include "sim/fault_engine.hpp"
 #include "sim/kernels.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace apx {
 namespace {
-
-// Unbiased bounded draw (Lemire multiply-shift with rejection). The legacy
-// `rng() % n` pick over-weighted low fault indices whenever n does not
-// divide 2^64.
-size_t bounded_pick(SplitMix64& rng, uint64_t n) {
-  uint64_t x = rng.next();
-  unsigned __int128 m = static_cast<unsigned __int128>(x) * n;
-  uint64_t low = static_cast<uint64_t>(m);
-  if (low < n) {
-    uint64_t threshold = (0 - n) % n;
-    while (low < threshold) {
-      x = rng.next();
-      m = static_cast<unsigned __int128>(x) * n;
-      low = static_cast<uint64_t>(m);
-    }
-  }
-  return static_cast<size_t>(m >> 64);
-}
 
 CampaignOptions campaign_options(const PartialDuplicationOptions& options,
                                  uint64_t seed) {

@@ -83,40 +83,18 @@ void BddManager::unique_insert(Ref id) {
   unique_slots_[idx] = id;
 }
 
-void BddManager::unique_erase(Ref id) {
-  const size_t mask = unique_slots_.size() - 1;
-  size_t idx = hash_triple(var_[id], kids_[id].lo, kids_[id].hi) & mask;
-  while (unique_slots_[idx] != id) {
-    assert(unique_slots_[idx] != kInvalidRef && "erasing a node not in table");
-    idx = (idx + 1) & mask;
-  }
-  // Backward-shift deletion: slide later cluster members up into the hole
-  // whenever their home slot is at or before it, so linear probing never
-  // needs tombstones.
-  size_t hole = idx;
-  size_t probe = idx;
-  while (true) {
-    probe = (probe + 1) & mask;
-    Ref s = unique_slots_[probe];
-    if (s == kInvalidRef) break;
-    size_t home = hash_triple(var_[s], kids_[s].lo, kids_[s].hi) & mask;
-    if (((probe - home) & mask) >= ((probe - hole) & mask)) {
-      unique_slots_[hole] = s;
-      hole = probe;
-    }
-  }
-  unique_slots_[hole] = kInvalidRef;
-  --unique_count_;
-}
-
-void BddManager::unique_grow() {
-  std::vector<Ref> old = std::move(unique_slots_);
-  unique_slots_.assign(old.size() * 2, kInvalidRef);
-  // Every live non-terminal node is (exactly once) in the table;
-  // re-inserting from the arena avoids touching the old slot array.
+void BddManager::unique_rehash(size_t capacity) {
+  // Every live non-terminal node belongs in the table exactly once;
+  // inserting from the arena needs no old slot array.
+  unique_slots_.assign(capacity, kInvalidRef);
+  unique_count_ = live_internal();
   for (Ref id = 2; id < static_cast<Ref>(var_.size()); ++id) {
     if (var_[id] != kFreeVar) unique_insert(id);
   }
+}
+
+void BddManager::unique_rebuild() {
+  unique_rehash(pow2_at_least((live_internal() + 1) * 10 / 7, 1024));
 }
 
 BddManager::Ref BddManager::alloc_node(int32_t var, Ref lo, Ref hi) {
@@ -153,7 +131,9 @@ BddManager::Ref BddManager::make_node(int32_t var, Ref lo, Ref hi) {
   Ref id = alloc_node(var, lo, hi);
   unique_slots_[idx] = id;
   ++unique_count_;
-  if ((unique_count_ + 1) * 10 >= unique_slots_.size() * 7) unique_grow();
+  if ((unique_count_ + 1) * 10 >= unique_slots_.size() * 7) {
+    unique_rehash(unique_slots_.size() * 2);
+  }
   // Reordering here would move levels under the feet of in-flight
   // recursions (ite_rec holds refs and a top level on its stack), so only
   // latch the request; cooperative callers reorder() at a safe point.
@@ -347,6 +327,13 @@ size_t BddManager::size(Ref f) const {
 
 std::vector<BddManager::Ref> BddManager::garbage_collect(
     const std::vector<Ref>& roots) {
+  std::vector<Ref> remap = compact(roots);
+  unique_rebuild();
+  return remap;
+}
+
+std::vector<BddManager::Ref> BddManager::compact(
+    const std::vector<Ref>& roots) {
   ++stats_.gc_runs;
   if (trace::enabled()) {
     trace::counter("bdd.gc_runs").add(1);
@@ -405,14 +392,6 @@ std::vector<BddManager::Ref> BddManager::garbage_collect(
   kids_ = std::move(kept_kids);
   free_list_.clear();
 
-  // Rebuild the unique table at a capacity fitting the survivors.
-  unique_count_ = var_.size() - 2;
-  unique_slots_.assign(pow2_at_least((unique_count_ + 1) * 10 / 7, 1024),
-                       kInvalidRef);
-  for (Ref id = 2; id < static_cast<Ref>(var_.size()); ++id) {
-    unique_insert(id);
-  }
-
   // Refs changed meaning: drop every cached/memoized entry.
   std::fill(ite_cache_.begin(), ite_cache_.end(), IteEntry{});
   stamp_.assign(var_.size(), 0);
@@ -433,61 +412,94 @@ void BddManager::unregister_external_refs(std::vector<Ref>* slots) {
       external_slots_.end());
 }
 
-void BddManager::deref(Ref r) {
-  // Drop one reference; cascade-free nodes whose count hits zero. Freed
-  // slots leave the unique table, get var = kFreeVar (so stale var_nodes_
-  // entries are skipped), and join the free list for reuse.
-  std::vector<Ref> stack = {r};
-  while (!stack.empty()) {
-    Ref x = stack.back();
-    stack.pop_back();
-    if (x <= 1) continue;
-    assert(parent_count_[x] > 0 && "deref of an unreferenced node");
-    if (--parent_count_[x] != 0) continue;
-    unique_erase(x);  // before the key (var, lo, hi) is clobbered
-    stack.push_back(kids_[x].lo);
-    stack.push_back(kids_[x].hi);
-    var_[x] = kFreeVar;
-    free_list_.push_back(x);
+void BddManager::build_subtables() {
+  // The arena was just compacted, so every slot from 2 on is live.
+  sub_.assign(num_vars_, Subtable{});
+  for (Ref r = 2; r < static_cast<Ref>(var_.size()); ++r) ++sub_[var_[r]].count;
+  for (Subtable& table : sub_) {
+    table.heads.assign(pow2_at_least(table.count, 4), kChainEnd);
+  }
+  next_.resize(var_.size());
+  for (Ref r = 2; r < static_cast<Ref>(var_.size()); ++r) {
+    Ref& head = sub_[var_[r]].bucket(kids_[r].lo, kids_[r].hi);
+    next_[r] = head;
+    head = r;
   }
 }
 
-BddManager::Ref BddManager::swap_find_or_make(int32_t var, Ref lo, Ref hi) {
-  // make_node twin for use inside swaps: maintains parent_count_ (result's
-  // count is pre-incremented for the caller's reference; a fresh node also
-  // counts its two children) and var_nodes_. No reorder latch, no node cap
-  // — the sift_var max-growth abort bounds temporary growth instead.
-  Ref id;
-  if (lo == hi) {
-    id = lo;
-  } else {
-    const size_t mask = unique_slots_.size() - 1;
-    size_t idx = hash_triple(var, lo, hi) & mask;
-    ++stats_.unique_lookups;
-    Ref found = kInvalidRef;
-    while (true) {
-      ++stats_.unique_probes;
-      Ref slot = unique_slots_[idx];
-      if (slot == kInvalidRef) break;
-      if (var_[slot] == var && kids_[slot].lo == lo &&
-          kids_[slot].hi == hi) {
-        found = slot;
-        break;
-      }
-      idx = (idx + 1) & mask;
+void BddManager::sub_grow(Subtable& table) {
+  std::vector<Ref> old = std::move(table.heads);
+  table.heads.assign(old.size() * 2, kChainEnd);
+  for (Ref chain : old) {
+    while (chain != kChainEnd) {
+      const Ref n = chain;
+      chain = next_[n];
+      Ref& head = table.bucket(kids_[n].lo, kids_[n].hi);
+      next_[n] = head;
+      head = n;
     }
-    if (found != kInvalidRef) {
-      id = found;
-    } else {
+  }
+}
+
+void BddManager::sub_link(int32_t var, Ref n) {
+  Subtable& table = sub_[var];
+  Ref& head = table.bucket(kids_[n].lo, kids_[n].hi);
+  next_[n] = head;
+  head = n;
+  if (++table.count > table.heads.size()) sub_grow(table);
+}
+
+void BddManager::sub_unlink(int32_t var, Ref n) {
+  Subtable& table = sub_[var];
+  Ref* link = &table.bucket(kids_[n].lo, kids_[n].hi);
+  while (*link != n) {
+    assert(*link != kChainEnd && "unlinking a node not in its subtable");
+    link = &next_[*link];
+  }
+  *link = next_[n];
+  --table.count;
+}
+
+void BddManager::deref(Ref r) {
+  // Called only by swap_levels on the old children f0/f1 of a rewritten
+  // node, after its new children g0/g1 took their references. Every
+  // grandchild f_ij is then referenced by g0 or g1 (as a child, or as g_i
+  // itself when f_i0 == f_i1), so a dying child frees exactly one node —
+  // the y-level child — and the cascade stops at its children.
+  if (r <= 1) return;
+  assert(parent_count_[r] > 0 && "deref of an unreferenced node");
+  if (--parent_count_[r] != 0) return;
+  sub_unlink(var_[r], r);  // before the key (lo, hi) is clobbered
+  for (const Ref child : {kids_[r].lo, kids_[r].hi}) {
+    assert((child <= 1 || parent_count_[child] > 1) &&
+           "swap deref cascaded past one level");
+    --parent_count_[child];
+  }
+  var_[r] = kFreeVar;
+  free_list_.push_back(r);
+}
+
+BddManager::Ref BddManager::swap_find_or_make(int32_t var, Ref lo, Ref hi) {
+  // make_node twin for use inside swaps, on var's subtable: maintains
+  // parent_count_ (result's count is pre-incremented for the caller's
+  // reference; a fresh node also counts its two children). No reorder
+  // latch, no node cap — the sift_var max-growth abort bounds temporary
+  // growth instead.
+  Ref id = lo;
+  if (lo != hi) {
+    for (id = sub_[var].bucket(lo, hi); id != kChainEnd; id = next_[id]) {
+      if (kids_[id].lo == lo && kids_[id].hi == hi) break;
+    }
+    if (id == kChainEnd) {
       id = alloc_node(var, lo, hi);
-      if (parent_count_.size() <= id) parent_count_.resize(id + 1, 0);
+      if (parent_count_.size() <= id) {
+        parent_count_.resize(id + 1);
+        next_.resize(id + 1);
+      }
       parent_count_[id] = 0;
       ++parent_count_[lo];
       ++parent_count_[hi];
-      unique_slots_[idx] = id;
-      ++unique_count_;
-      if ((unique_count_ + 1) * 10 >= unique_slots_.size() * 7) unique_grow();
-      var_nodes_[var].push_back(id);
+      sub_link(var, id);
     }
   }
   ++parent_count_[id];
@@ -551,34 +563,44 @@ void BddManager::swap_levels(int level) {
     var2level_[y] = level;
     return;
   }
-  std::vector<Ref> old_list = std::move(var_nodes_[x]);
-  var_nodes_[x].clear();
-  for (Ref n : old_list) {
-    if (var_[n] != x) continue;  // stale entry: freed/reused/moved
+  // Unlink, in place, every x-node with a y child onto a private list
+  // threaded through next_; the rest stay linked and silently move down
+  // one level with their label.
+  Subtable& xs = sub_[x];
+  Ref moved = kChainEnd;
+  for (Ref& head : xs.heads) {
+    Ref* link = &head;
+    while (*link != kChainEnd) {
+      const Ref n = *link;
+      if (var_[kids_[n].lo] == y || var_[kids_[n].hi] == y) {
+        *link = next_[n];
+        next_[n] = moved;
+        moved = n;
+        --xs.count;
+      } else {
+        link = &next_[n];
+      }
+    }
+  }
+  while (moved != kChainEnd) {
+    const Ref n = moved;
+    moved = next_[n];
     const Ref f0 = kids_[n].lo;
     const Ref f1 = kids_[n].hi;
     const bool lo_y = var_[f0] == y;
     const bool hi_y = var_[f1] == y;
-    if (!lo_y && !hi_y) {
-      // Independent of y: keeps label x, silently moves down one level.
-      var_nodes_[x].push_back(n);
-      continue;
-    }
     const Ref f00 = lo_y ? kids_[f0].lo : f0;
     const Ref f01 = lo_y ? kids_[f0].hi : f0;
     const Ref f10 = hi_y ? kids_[f1].lo : f1;
     const Ref f11 = hi_y ? kids_[f1].hi : f1;
-    // Build the new children before erasing n: n is still in the unique
-    // table under its old key, so a rehash here re-inserts it correctly.
+    // g0/g1 have no y child, so x's subtable (n already left it) is the
+    // whole search space.
     const Ref g0 = swap_find_or_make(x, f00, f10);
     const Ref g1 = swap_find_or_make(x, f01, f11);
     assert(g0 != g1 && "swap produced a redundant node");
-    unique_erase(n);
     var_[n] = y;
     kids_[n] = {g0, g1};
-    unique_insert(n);
-    ++unique_count_;  // unique_insert is count-neutral; rebalance the erase
-    var_nodes_[y].push_back(n);
+    sub_link(y, n);
     // New references were counted above; dropping the old ones last means
     // shared children never see a transient zero count.
     deref(f0);
@@ -646,10 +668,7 @@ void BddManager::sift(const std::vector<Ref>& roots) {
   for (Ref r : roots) {
     if (r != kInvalidRef) ++parent_count_[r];
   }
-  var_nodes_.assign(num_vars_, {});
-  for (Ref r = 2; r < static_cast<Ref>(var_.size()); ++r) {
-    var_nodes_[var_[r]].push_back(r);
-  }
+  build_subtables();
   build_interaction_matrix(roots);
 
   constexpr size_t kMaxSiftVars = 128;  // CUDD-style per-pass variable cap
@@ -664,8 +683,7 @@ void BddManager::sift(const std::vector<Ref>& roots) {
     std::vector<std::pair<size_t, int>> occupancy;
     occupancy.reserve(num_vars_);
     for (int v = 0; v < num_vars_; ++v) {
-      size_t count = 0;
-      for (Ref r : var_nodes_[v]) count += var_[r] == v;
+      const size_t count = sub_[v].count;
       // Lower-bound prune: the sweep for a variable with c nodes cannot
       // shrink the table by more than c - 1 (its own level collapsing is
       // the best case), so single-node variables — the common tail after
@@ -687,7 +705,8 @@ void BddManager::sift(const std::vector<Ref>& roots) {
     prev = now;
   }
   parent_count_.clear();
-  var_nodes_.clear();
+  sub_.clear();
+  next_.clear();
   interact_.clear();
 }
 
@@ -725,7 +744,9 @@ std::vector<BddManager::Ref> BddManager::reorder(
     return identity;
   }
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<Ref> remap = garbage_collect(roots);
+  // Compact without rebuilding the flat table: sifting works on its own
+  // subtables, and the flat table is rebuilt once from the final arena.
+  std::vector<Ref> remap = compact(roots);
   for (std::vector<Ref>* slots : external_slots_) {
     for (Ref& r : *slots) {
       if (r != kInvalidRef) r = remap[r];
@@ -736,6 +757,7 @@ std::vector<BddManager::Ref> BddManager::reorder(
   {
     trace::Span span("bdd.reorder");
     sift(roots);
+    unique_rebuild();
   }
   in_reorder_ = false;
   ++stats_.reorder_runs;

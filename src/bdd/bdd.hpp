@@ -9,9 +9,10 @@
 //
 // Internals are tuned for the incremental oracle's access pattern:
 //  * The unique table is an open-addressed flat array (power-of-two
-//    capacity, linear probing, backward-shift deletion) over
-//    splitmix64-mixed (var, lo, hi) keys — no per-node heap allocation,
-//    cache-friendly probes.
+//    capacity, linear probing, insert-only) over splitmix64-mixed
+//    (var, lo, hi) keys — no per-node heap allocation, cache-friendly
+//    probes. Sifting bypasses it: inside reorder() every variable owns a
+//    chained subtable, and the flat table is rebuilt once afterwards.
 //  * The ITE cache is a lossy direct-mapped table: collisions overwrite,
 //    keeping memory bounded and lookups O(1).
 //  * sat_fraction/support/size/cofactor reuse an epoch-stamped scratch
@@ -28,7 +29,9 @@
 // branch by level, so any order is transparent to callers. A structural
 // static order (network/ordering.hpp) seeds the permutation; Rudell
 // sifting (reorder()) refines it dynamically with in-place adjacent-level
-// swaps on the flat arena: a swap preserves every live Ref's identity and
+// swaps on per-variable chained subtables (CUDD-style: a swap walks only
+// the upper variable's chains, and freeing a node is an unlink, not a
+// probe of the whole table): a swap preserves every live Ref's identity and
 // function, so only the garbage-collection phase of reorder() moves refs,
 // and the returned remap follows the garbage_collect() contract. Clients
 // holding long-lived refs register their vectors via
@@ -202,6 +205,9 @@ class BddManager {
   void seed_order(const std::vector<int>& level_to_var);
 
   /// Hash-quality / workload counters (monotone since construction).
+  /// unique_lookups/unique_probes count make_node's flat-table traffic
+  /// only: sifting's lookups go to the per-variable subtables and are not
+  /// counted, so avg_probe_length() describes the table callers hit.
   struct Stats {
     uint64_t unique_lookups = 0;  ///< make_node unique-table lookups
     uint64_t unique_probes = 0;   ///< slots inspected across those lookups
@@ -226,9 +232,8 @@ class BddManager {
   /// array, so an entry never straddles a cache line — unlike the legacy
   /// 12-byte {var, lo, hi} AoS node, which crossed a line boundary every
   /// other slot. Variable labels live in the parallel int32 `var_` array
-  /// (16 per line), so label-only sweeps (free-slot checks, occupancy
-  /// counts, var_nodes_ maintenance) touch a quarter of the lines the AoS
-  /// layout did.
+  /// (16 per line), so label-only sweeps (free-slot checks, y-child tests
+  /// during swaps) touch a quarter of the lines the AoS layout did.
   struct BddChildren {
     Ref lo;
     Ref hi;
@@ -264,10 +269,15 @@ class BddManager {
   int32_t var_of(Ref f) const { return var_[f]; }
   int32_t level_of(Ref f) const { return var2level_[var_[f]]; }
   Ref ite_rec(Ref f, Ref g, Ref h);
-  size_t unique_find_slot(int32_t var, Ref lo, Ref hi) const;
   void unique_insert(Ref id);
-  void unique_erase(Ref id);
-  void unique_grow();
+  /// Re-inserts every live arena node into a fresh flat table of
+  /// `capacity` slots (a power of two).
+  void unique_rehash(size_t capacity);
+  /// Re-inserts every live node into a flat table sized for the live count.
+  void unique_rebuild();
+  /// garbage_collect without the flat-table rebuild: reorder() rebuilds
+  /// the table once after sifting instead.
+  std::vector<Ref> compact(const std::vector<Ref>& roots);
   Ref alloc_node(int32_t var, Ref lo, Ref hi);
   double sat_fraction_rec(Ref f);
   Ref cofactor_rec(Ref f, int32_t vlevel, bool value);
@@ -275,6 +285,27 @@ class BddManager {
   void begin_scratch_pass() const;
 
   // ---- sifting internals (valid only inside reorder()) ----
+
+  /// Chain terminator in subtable buckets and next_ links. Ref 0 is the
+  /// false terminal, which never sits in a subtable.
+  static constexpr Ref kChainEnd = 0;
+
+  /// Per-variable chained unique subtable: power-of-two bucket heads over
+  /// splitmix64-mixed (lo, hi) keys, chains threaded through next_, and
+  /// the number of live nodes carrying the variable.
+  struct Subtable {
+    std::vector<Ref> heads;
+    size_t count = 0;
+    Ref& bucket(Ref lo, Ref hi) {
+      return heads[mix64((static_cast<uint64_t>(lo) << 32) | hi) &
+                   (heads.size() - 1)];
+    }
+  };
+  void build_subtables();
+  void sub_link(int32_t var, Ref n);
+  void sub_unlink(int32_t var, Ref n);
+  void sub_grow(Subtable& table);
+
   void sift(const std::vector<Ref>& roots);
   void sift_var(int var);
   void swap_levels(int level);
@@ -286,6 +317,8 @@ class BddManager {
            1u;
   }
   Ref swap_find_or_make(int32_t var, Ref lo, Ref hi);
+  /// Drops one in-swap reference; frees the node if it was the last one
+  /// (only a lower-level child can die, and its own children survive).
   void deref(Ref r);
   size_t live_internal() const { return var_.size() - 2 - free_list_.size(); }
 
@@ -319,10 +352,10 @@ class BddManager {
   mutable uint32_t stamp_epoch_ = 0;
 
   // Reordering state. free_list_ holds arena slots vacated by sifting
-  // (alloc_node reuses them before growing the arena); parent_count_ and
-  // var_nodes_ are per-reorder scratch (in-arena reference counts seeded
-  // with root pins, and per-variable node lists, both maintained across
-  // swaps).
+  // (alloc_node reuses them before growing the arena); parent_count_,
+  // sub_ and next_ are per-reorder scratch (in-arena reference counts
+  // seeded with root pins, one chained unique subtable per variable, and
+  // one chain link per arena slot, all maintained across swaps).
   /// Validates and installs a level_to_var permutation into var2level_/
   /// level2var_ (shared by the constructor and seed_order).
   void install_order(const std::vector<int>& level_to_var);
@@ -335,7 +368,8 @@ class BddManager {
   std::vector<Ref> free_list_;
   std::vector<std::vector<Ref>*> external_slots_;
   std::vector<uint32_t> parent_count_;
-  std::vector<std::vector<Ref>> var_nodes_;
+  std::vector<Subtable> sub_;
+  std::vector<Ref> next_;
   // Per-reorder variable interaction matrix (row-major bitset): u and v
   // interact iff they co-occur in some root's support. Support is a
   // property of the functions, not the order, so the matrix stays valid

@@ -4,6 +4,7 @@
 #include <random>
 
 #include "sim/kernels.hpp"
+#include "sim/rng.hpp"
 
 namespace apx {
 
@@ -22,7 +23,7 @@ CoverageResult evaluate_delay_fault_coverage(
   const int W = options.words_per_fault;
   std::vector<uint64_t> err_row(W);
   for (int s = 0; s < options.num_fault_samples; ++s) {
-    NodeId site = sites[rng() % sites.size()];
+    NodeId site = sites[bounded_pick(rng, sites.size())];
     TransitionFault fault{site, static_cast<bool>(rng() & 1)};
     PatternSet launch = PatternSet::random(net.num_pis(), W, rng());
     PatternSet capture = PatternSet::random(net.num_pis(), W, rng());

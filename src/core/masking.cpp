@@ -4,6 +4,7 @@
 #include <random>
 
 #include "sim/kernels.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace apx {
@@ -65,7 +66,8 @@ MaskingResult evaluate_masking(const MaskingDesign& design,
   const int W = options.words_per_fault;
   std::vector<uint64_t> raw_row(W), masked_row(W);
   for (int s = 0; s < options.num_fault_samples; ++s) {
-    NodeId site = ced.functional_nodes[rng() % ced.functional_nodes.size()];
+    NodeId site =
+        ced.functional_nodes[bounded_pick(rng, ced.functional_nodes.size())];
     StuckFault fault{site, static_cast<bool>(rng() & 1)};
     PatternSet patterns = PatternSet::random(ced.design.num_pis(), W, rng());
     sim.run(patterns);

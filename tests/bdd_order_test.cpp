@@ -585,5 +585,135 @@ TEST(BddOrdering, StaticOrderIsPermutation) {
   }
 }
 
+
+// FNV-1a over 64-bit words.
+uint64_t fnv1a(uint64_t h, uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (word >> (8 * byte)) & 0xFF;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+// Golden sift outcomes: one forced reorder() after a static-order build of
+// every PO cone (no auto-trigger). Sifting is deterministic — live_internal()
+// is exact at every stop — so the converged order, the live count and the
+// build peak are fixed numbers; a change to the swap machinery that alters
+// any sift decision shows up here.
+TEST(BddSiftGolden, ForcedReorderAfterStaticBuild) {
+  struct Golden {
+    const char* circuit;
+    uint64_t order_hash;  // FNV-1a over export_order()
+    size_t live;
+    uint64_t peak;
+  };
+  const Golden golden[] = {
+      {"cmb", 0x0B6866A8767FCB45ULL, 85, 212},
+      {"term1", 0xB98E9FD77D54CE64ULL, 1693, 4775},
+      {"x1", 0x7FC6A9B527DE61F6ULL, 23333, 298953},
+      {"i2", 0xF7D837961B59752DULL, 15762, 40911},
+  };
+  for (const Golden& g : golden) {
+    Network net = make_benchmark(g.circuit);
+    BddManager mgr(net.num_pis(), 8u << 20, static_pi_order(net));
+    mgr.set_auto_reorder(false);
+    std::vector<NodeId> roots;
+    for (const PrimaryOutput& p : net.pos()) roots.push_back(p.driver);
+    std::vector<BddManager::Ref> refs = build_cone_bdds(mgr, net, roots);
+    mgr.register_external_refs(&refs);
+    mgr.reorder();
+    uint64_t hash = 0xCBF29CE484222325ULL;
+    for (int v : mgr.export_order()) hash = fnv1a(hash, static_cast<uint64_t>(v));
+    EXPECT_EQ(hash, g.order_hash) << g.circuit;
+    EXPECT_EQ(mgr.live_nodes(), g.live) << g.circuit;
+    EXPECT_EQ(mgr.stats().peak_nodes, g.peak) << g.circuit;
+    EXPECT_EQ(mgr.stats().reorder_runs, 1u) << g.circuit;
+    mgr.unregister_external_refs(&refs);
+  }
+}
+
+// Canonicity across many mid-build sifts. A pool of random functions (and,
+// or, not, ite over earlier pool entries) is built with the growth latch
+// re-armed a few dozen nodes above the live count after every reorder, so
+// the manager re-sifts over and over between operations. Afterwards every
+// pool entry must match the truth-table engine, and replaying every
+// operation on the final arena must return the very same Ref and allocate
+// nothing: the flat unique table rebuilt after sifting holds every live
+// node exactly once.
+TEST(BddSifting, CanonicalAcrossRepeatedMidBuildSifts) {
+  constexpr int kVars = 9;
+  constexpr int kOps = 180;
+  struct Op {
+    int kind, a, b, c;
+  };
+  for (uint32_t seed : {5u, 23u, 61u}) {
+    std::mt19937 rng(seed);
+    BddManager mgr(kVars, 1u << 20);
+    mgr.set_auto_reorder(true);
+    mgr.set_reorder_threshold(32);
+    std::vector<BddManager::Ref> pool;
+    std::vector<TruthTable> tt;
+    mgr.register_external_refs(&pool);
+    for (int v = 0; v < kVars; ++v) {
+      pool.push_back(mgr.var(v));
+      tt.push_back(TruthTable::variable(kVars, v));
+    }
+    auto apply = [&](const Op& op) {
+      switch (op.kind) {
+        case 0:
+          return mgr.bdd_and(pool[op.a], pool[op.b]);
+        case 1:
+          return mgr.bdd_or(pool[op.a], pool[op.b]);
+        case 2:
+          return mgr.bdd_not(pool[op.a]);
+        default:
+          return mgr.bdd_ite(pool[op.a], pool[op.b], pool[op.c]);
+      }
+    };
+    std::vector<Op> ops;
+    for (int k = 0; k < kOps; ++k) {
+      const int n = static_cast<int>(pool.size());
+      const Op op{static_cast<int>(rng() % 4), static_cast<int>(rng() % n),
+                  static_cast<int>(rng() % n), static_cast<int>(rng() % n)};
+      const BddManager::Ref r = apply(op);
+      switch (op.kind) {
+        case 0:
+          tt.push_back(tt[op.a] & tt[op.b]);
+          break;
+        case 1:
+          tt.push_back(tt[op.a] | tt[op.b]);
+          break;
+        case 2:
+          tt.push_back(~tt[op.a]);
+          break;
+        default:
+          tt.push_back((tt[op.a] & tt[op.b]) | (~tt[op.a] & tt[op.c]));
+          break;
+      }
+      pool.push_back(r);
+      ops.push_back(op);
+      if (mgr.reorder_pending()) {
+        mgr.reorder();  // rewrites `pool` in place
+        mgr.set_reorder_threshold(mgr.live_nodes() + 24);
+      }
+    }
+    mgr.reorder();
+    EXPECT_GE(mgr.stats().reorder_runs, 10u) << "seed " << seed;
+
+    for (size_t i = 0; i < pool.size(); ++i) {
+      for (uint64_t m = 0; m < (uint64_t{1} << kVars); ++m) {
+        ASSERT_EQ(mgr.evaluate(pool[i], m), tt[i].get(m))
+            << "seed " << seed << " pool " << i << " minterm " << m;
+      }
+    }
+    const size_t live = mgr.live_nodes();
+    for (int k = 0; k < kOps; ++k) {
+      ASSERT_EQ(apply(ops[k]), pool[kVars + k]) << "seed " << seed << " op " << k;
+    }
+    EXPECT_EQ(mgr.live_nodes(), live) << "seed " << seed;
+    mgr.unregister_external_refs(&pool);
+  }
+}
+
 }  // namespace
 }  // namespace apx

@@ -187,7 +187,8 @@ TEST(BenchJsonTest, BddArtifactSchema) {
       "\"pos\"",           "\"gates\"",
       "\"natural\"",       "\"static\"",
       "\"static_sift\"",   "\"peak_nodes\"",
-      "\"build_seconds\"", "\"fallbacks\"",
+      "\"final_nodes\"",   "\"build_seconds\"",
+      "\"fallbacks\"",
       "\"reorder_runs\"",  "\"reorder_time_ms\"",
       "\"avg_probe_length\"", "\"peak_reduction_vs_natural\"",
       "\"results_bit_identical\"",
