@@ -46,33 +46,36 @@ Throughput rates(double seconds, const CoverageOptions& opt,
   return t;
 }
 
-// The seed's evaluate_ced_coverage loop, verbatim: fresh PatternSet and a
-// full golden machine re-simulation per fault sample.
+// The seed's evaluate_ced_coverage loop: fresh PatternSet, site drawn as
+// `rng() % n`, and a full golden re-simulation per fault sample (a
+// one-fault run_batch on the sample's own patterns).
 Throughput run_baseline(const CedDesign& ced, const CoverageOptions& options) {
   Stopwatch watch;
   CoverageResult result;
   std::mt19937_64 rng(options.seed);
-  Simulator sim(ced.design);
+  FaultSimEngine engine(ced.design);
   const Network& net = ced.design;
-  for (int s = 0; s < options.num_fault_samples; ++s) {
-    NodeId site = ced.functional_nodes[rng() % ced.functional_nodes.size()];
-    StuckFault fault{site, static_cast<bool>(rng() & 1)};
-    PatternSet patterns =
-        PatternSet::random(net.num_pis(), options.words_per_fault, rng());
-    sim.run(patterns);
-    sim.inject(fault);
-    const auto z1 = sim.faulty_value(ced.error_pair.rail1);
-    const auto z2 = sim.faulty_value(ced.error_pair.rail2);
-    for (int w = 0; w < options.words_per_fault; ++w) {
+  const int words = options.words_per_fault;
+  auto count = [&](int, const FaultSpec&, const FaultView& v) {
+    const uint64_t* z1 = v.faulty(ced.error_pair.rail1);
+    const uint64_t* z2 = v.faulty(ced.error_pair.rail2);
+    for (int w = 0; w < words; ++w) {
       uint64_t err = 0;
       for (NodeId out : ced.functional_outputs) {
-        err |= sim.value(out)[w] ^ sim.faulty_value(out)[w];
+        err |= v.golden(out)[w] ^ v.faulty(out)[w];
       }
       uint64_t flagged = ~(z1[w] ^ z2[w]);
       result.erroneous += std::popcount(err);
       result.detected += std::popcount(err & flagged);
       result.runs += 64;
     }
+  };
+  for (int s = 0; s < options.num_fault_samples; ++s) {
+    NodeId site = ced.functional_nodes[rng() % ced.functional_nodes.size()];
+    const bool stuck_value = (rng() & 1) != 0;
+    PatternSet patterns = PatternSet::random(net.num_pis(), words, rng());
+    engine.run_batch(patterns, {FaultSpec::stuck_at(site, stuck_value)},
+                     count, /*num_threads=*/1);
   }
   return rates(watch.seconds(), options, result);
 }
@@ -124,7 +127,7 @@ struct WidthRow {
 };
 
 // Visitor-accounting sweep: isolates the campaign visitors' popcount tax.
-// One simulation materializes golden/faulty rows for every functional
+// One injection materializes golden/faulty rows for every functional
 // output plus the two-rail pair; the sweep then replays the CED coverage
 // accounting over those rows `reps` times, once with the legacy per-word
 // std::popcount loop and once through the dispatched popcount-reduce
@@ -141,17 +144,36 @@ struct VisitorSweep {
 
 VisitorSweep run_visitor_sweep(const CedDesign& ced, int words, int reps,
                                uint64_t seed) {
-  Simulator sim(ced.design);
-  sim.run(PatternSet::random(ced.design.num_pis(), words, seed));
-  sim.inject({ced.functional_nodes[ced.functional_nodes.size() / 2], true});
+  // Copy the rows out of the fault view into one aligned arena: golden
+  // rows, then faulty rows, of every functional output, then the rails.
+  const size_t outs = ced.functional_outputs.size();
+  ValueArena rows;
+  rows.reset(static_cast<int>(2 * outs + 2), words);
+  FaultSimEngine engine(ced.design);
+  const NodeId site = ced.functional_nodes[ced.functional_nodes.size() / 2];
+  engine.run_batch(
+      PatternSet::random(ced.design.num_pis(), words, seed),
+      {FaultSpec::stuck_at(site, true)},
+      [&](int, const FaultSpec&, const FaultView& v) {
+        auto copy = [&](int r, const uint64_t* src) {
+          std::copy(src, src + words, rows.row(r));
+        };
+        for (size_t o = 0; o < outs; ++o) {
+          copy(static_cast<int>(o), v.golden(ced.functional_outputs[o]));
+          copy(static_cast<int>(outs + o),
+               v.faulty(ced.functional_outputs[o]));
+        }
+        copy(static_cast<int>(2 * outs), v.faulty(ced.error_pair.rail1));
+        copy(static_cast<int>(2 * outs + 1), v.faulty(ced.error_pair.rail2));
+      },
+      /*num_threads=*/1);
   std::vector<const uint64_t*> golden, faulty;
-  for (NodeId out : ced.functional_outputs) {
-    golden.push_back(sim.value(out).data());
-    faulty.push_back(sim.faulty_value(out).data());
+  for (size_t o = 0; o < outs; ++o) {
+    golden.push_back(rows.row(static_cast<int>(o)));
+    faulty.push_back(rows.row(static_cast<int>(outs + o)));
   }
-  const uint64_t* z1 = sim.faulty_value(ced.error_pair.rail1).data();
-  const uint64_t* z2 = sim.faulty_value(ced.error_pair.rail2).data();
-  const size_t outs = golden.size();
+  const uint64_t* z1 = rows.row(static_cast<int>(2 * outs));
+  const uint64_t* z2 = rows.row(static_cast<int>(2 * outs + 1));
 
   VisitorSweep v;
   {

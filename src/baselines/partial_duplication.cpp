@@ -8,7 +8,6 @@
 #include "sim/fault_engine.hpp"
 #include "sim/kernels.hpp"
 #include "sim/rng.hpp"
-#include "sim/simulator.hpp"
 
 namespace apx {
 namespace {
@@ -24,37 +23,28 @@ CampaignOptions campaign_options(const PartialDuplicationOptions& options,
   return copt;
 }
 
-// Campaign dispatch over the configured fault model. The selection
-// accounting is fault-agnostic, so the single-stuck-at path keeps the
-// legacy bounded_pick sampler verbatim (bit-identical selections) while
-// the richer models ride the engine's stock samplers.
-void run_model_campaign(FaultSimEngine& engine, const Network& net,
-                        const std::vector<StuckFault>& faults,
+// Runs one selection campaign over the logic nodes `sites` under the
+// configured fault model. The single-stuck-at draw picks one of the 2N
+// (node, polarity) pairs, pair k being node k / 2 stuck at k & 1.
+void run_model_campaign(FaultSimEngine& engine,
+                        const std::vector<NodeId>& sites,
                         const PartialDuplicationOptions& options,
-                        uint64_t seed,
-                        const std::function<void(int, const FaultView&)>& body) {
+                        uint64_t seed, const FaultSimEngine::Visitor& visit) {
   CampaignOptions copt = campaign_options(options, seed);
+  FaultSimEngine::Sampler sampler;
   if (options.model == FaultModel::kSingleStuckAt) {
-    auto sampler = [&faults](uint64_t sample_seed) {
+    sampler = [&sites](uint64_t sample_seed) {
       SplitMix64 rng(sample_seed);
-      return faults[bounded_pick(rng, faults.size())];
+      const uint64_t k = bounded_pick(rng, 2 * sites.size());
+      return FaultSpec::stuck_at(sites[k / 2], (k & 1) != 0);
     };
-    engine.run_campaign(copt, sampler,
-                        [&](int i, const StuckFault&, const FaultView& v) {
-                          body(i, v);
-                        });
-    return;
+  } else {
+    copt.model = options.model;
+    copt.sites_per_fault = options.sites_per_fault;
+    copt.burst_vectors = options.burst_vectors;
+    sampler = FaultSimEngine::make_sampler(options.model, sites, copt);
   }
-  std::vector<NodeId> sites;
-  for (NodeId id = 0; id < net.num_nodes(); ++id) {
-    if (net.node(id).kind == NodeKind::kLogic) sites.push_back(id);
-  }
-  copt.model = options.model;
-  copt.sites_per_fault = options.sites_per_fault;
-  copt.burst_vectors = options.burst_vectors;
-  engine.run_campaign(
-      copt, FaultSimEngine::make_sampler(options.model, std::move(sites), copt),
-      [&](int i, const FaultSpec&, const FaultView& v) { body(i, v); });
+  engine.run_campaign(copt, sampler, visit);
 }
 
 // For POs ordered by rank, returns hist[k] = number of runs whose first
@@ -67,12 +57,12 @@ struct RankHistogram {
 
 RankHistogram rank_histogram(const Network& net,
                              const std::vector<int>& ranked_pos,
-                             const std::vector<StuckFault>& faults,
+                             const std::vector<NodeId>& sites,
                              const PartialDuplicationOptions& options) {
   RankHistogram hist;
   const size_t ranks = ranked_pos.size();
   hist.first_error_at_rank.assign(ranks, 0);
-  if (faults.empty() || options.num_fault_samples <= 0 || ranks == 0) {
+  if (sites.empty() || options.num_fault_samples <= 0 || ranks == 0) {
     return hist;
   }
 
@@ -91,8 +81,8 @@ RankHistogram rank_histogram(const Network& net,
   const int slots = resolve_thread_option(options.num_threads);
   std::vector<std::vector<uint64_t>> any_scratch(slots);
   run_model_campaign(
-      engine, net, faults, options, options.seed,
-      [&](int i, const FaultView& v) {
+      engine, sites, options, options.seed,
+      [&](int i, const FaultSpec&, const FaultView& v) {
         int64_t* row = rows.data() + static_cast<size_t>(i) * stride;
         const int W = v.num_words();
         const uint64_t tail = v.word_mask(W - 1);
@@ -119,11 +109,11 @@ RankHistogram rank_histogram(const Network& net,
 // Per-output erroneous-bit counts over a fault-injection campaign, used to
 // rank POs by error contribution.
 std::vector<int64_t> output_error_counts(
-    const Network& net, const std::vector<StuckFault>& faults,
+    const Network& net, const std::vector<NodeId>& sites,
     const PartialDuplicationOptions& options) {
   const size_t num_pos = static_cast<size_t>(net.num_pos());
   std::vector<int64_t> rate(num_pos, 0);
-  if (faults.empty() || options.num_fault_samples <= 0 || num_pos == 0) {
+  if (sites.empty() || options.num_fault_samples <= 0 || num_pos == 0) {
     return rate;
   }
 
@@ -131,8 +121,8 @@ std::vector<int64_t> output_error_counts(
   std::vector<int64_t> rows(
       static_cast<size_t>(options.num_fault_samples) * num_pos, 0);
   run_model_campaign(
-      engine, net, faults, options, options.seed ^ 0xABCD,
-      [&](int i, const FaultView& v) {
+      engine, sites, options, options.seed ^ 0xABCD,
+      [&](int i, const FaultSpec&, const FaultView& v) {
         int64_t* row = rows.data() + static_cast<size_t>(i) * num_pos;
         const int W = v.num_words();
         const uint64_t tail = v.word_mask(W - 1);
@@ -162,10 +152,13 @@ PartialDuplicationResult build_partial_duplication(
 
   // A wire-only circuit has no gate-level fault sites; both campaigns must
   // degrade to zero counts instead of sampling from an empty list.
-  std::vector<StuckFault> faults = enumerate_faults(mapped);
+  std::vector<NodeId> sites;
+  for (NodeId id = 0; id < mapped.num_nodes(); ++id) {
+    if (mapped.node(id).kind == NodeKind::kLogic) sites.push_back(id);
+  }
 
   // Rank POs by their error contribution (per-output error rate).
-  std::vector<int64_t> rate = output_error_counts(mapped, faults, options);
+  std::vector<int64_t> rate = output_error_counts(mapped, sites, options);
   std::vector<int> ranked(mapped.num_pos());
   std::iota(ranked.begin(), ranked.end(), 0);
   std::stable_sort(ranked.begin(), ranked.end(),
@@ -173,7 +166,7 @@ PartialDuplicationResult build_partial_duplication(
 
   // Prefix coverage from one fault-injection pass; select the shortest
   // prefix reaching the target.
-  RankHistogram hist = rank_histogram(mapped, ranked, faults, options);
+  RankHistogram hist = rank_histogram(mapped, ranked, sites, options);
   int64_t covered = 0;
   size_t chosen = ranked.size();
   for (size_t k = 0; k < ranked.size(); ++k) {

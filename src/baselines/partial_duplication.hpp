@@ -17,9 +17,9 @@ struct PartialDuplicationOptions {
   int num_fault_samples = 1000;
   int words_per_fault = 4;
   /// Fault model driving both selection campaigns (output ranking and
-  /// prefix coverage). kSingleStuckAt takes the exact legacy code path
-  /// (bit-identical selections); the other models use the engine's stock
-  /// samplers over the logic nodes.
+  /// prefix coverage). kSingleStuckAt draws one of the 2N (logic node,
+  /// polarity) pairs; the other models use the engine's stock samplers
+  /// over the logic nodes.
   FaultModel model = FaultModel::kSingleStuckAt;
   /// Simultaneous stuck-at sites per sample under kMultiStuckAt.
   int sites_per_fault = 2;

@@ -129,8 +129,9 @@ CoverageResult evaluate_ced_coverage(const CedDesign& ced,
   copt.faults_per_batch = options.faults_per_batch;
   copt.num_threads = options.num_threads;
   copt.seed = options.seed;
-
-  const std::vector<NodeId>& sites = ced.functional_nodes;
+  copt.model = options.model;
+  copt.sites_per_fault = options.sites_per_fault;
+  copt.burst_vectors = options.burst_vectors;
 
   // Per-sample slots: pool workers write disjoint rows, reduced in sample
   // order afterwards (ordered merge), so counts are bit-identical for any
@@ -145,10 +146,10 @@ CoverageResult evaluate_ced_coverage(const CedDesign& ced,
   // word (when vectors_per_fault is not a multiple of 64) out of the
   // counts. The rails agree exactly where the checker flags an error, so
   // detected = |err| - |(z1 ^ z2) & err|. The accounting is identical for
-  // every fault model — only the sampler differs.
+  // every fault model.
   const int slots = resolve_thread_option(options.num_threads);
   std::vector<std::vector<uint64_t>> err_scratch(slots);
-  auto account = [&](int i, const FaultView& v) {
+  auto account = [&](int i, const FaultSpec&, const FaultView& v) {
     Row& row = rows[i];
     const int W = v.num_words();
     const uint64_t tail = v.word_mask(W - 1);
@@ -163,25 +164,10 @@ CoverageResult evaluate_ced_coverage(const CedDesign& ced,
     row.erroneous += erroneous;
     row.detected += erroneous - popcount_xor_and(z1, z2, err.data(), W, tail);
   };
-  if (options.model == FaultModel::kSingleStuckAt) {
-    // The legacy uniform stuck-at sampler, verbatim: campaigns under the
-    // default model reproduce historical results bit for bit.
-    auto sampler = [&sites](uint64_t sample_seed) {
-      SplitMix64 rng(sample_seed);
-      NodeId site = sites[rng.next() % sites.size()];
-      return StuckFault{site, static_cast<bool>(rng.next() & 1)};
-    };
-    engine.run_campaign(
-        copt, sampler,
-        [&](int i, const StuckFault&, const FaultView& v) { account(i, v); });
-  } else {
-    copt.model = options.model;
-    copt.sites_per_fault = options.sites_per_fault;
-    copt.burst_vectors = options.burst_vectors;
-    engine.run_campaign(
-        copt, FaultSimEngine::make_sampler(options.model, sites, copt),
-        [&](int i, const FaultSpec&, const FaultView& v) { account(i, v); });
-  }
+  engine.run_campaign(
+      copt,
+      FaultSimEngine::make_sampler(options.model, ced.functional_nodes, copt),
+      account);
   for (const Row& row : rows) {
     result.erroneous += row.erroneous;
     result.detected += row.detected;

@@ -78,10 +78,9 @@ struct CoverageOptions {
   /// of 64 — padding bits of the final partial word are masked out of both
   /// the engine's detection decisions and the coverage accounting.
   int vectors_per_fault = 0;
-  /// Fault model injected over the functional gates. kSingleStuckAt takes
-  /// the exact legacy code path (bit-identical results); the other models
-  /// use the engine's stock samplers (FaultSimEngine::make_sampler) with
-  /// the two knobs below.
+  /// Fault model injected over the functional gates through the engine's
+  /// stock samplers (FaultSimEngine::make_sampler), with the two knobs
+  /// below.
   FaultModel model = FaultModel::kSingleStuckAt;
   /// Simultaneous stuck-at sites per sample under kMultiStuckAt.
   int sites_per_fault = 2;

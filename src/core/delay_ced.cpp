@@ -2,14 +2,21 @@
 
 #include <algorithm>
 #include <random>
+#include <stdexcept>
 
+#include "sim/fault_engine.hpp"
 #include "sim/kernels.hpp"
 #include "sim/rng.hpp"
+#include "sim/simulator.hpp"
 
 namespace apx {
 
 CoverageResult evaluate_delay_fault_coverage(
     const CedDesign& ced, const DelayCoverageOptions& options) {
+  if (options.words_per_fault <= 0) {
+    throw std::invalid_argument(
+        "evaluate_delay_fault_coverage: words_per_fault must be positive");
+  }
   CoverageResult result;
   const Network& net = ced.design;
   std::vector<NodeId> sites = ced.functional_nodes;
@@ -18,31 +25,48 @@ CoverageResult evaluate_delay_fault_coverage(
   }
   if (sites.empty()) return result;
   std::mt19937_64 rng(options.seed);
-  TransitionSimulator sim(ced.design);
+  FaultSimEngine engine(net);
+  Simulator launch(net);
 
   const int W = options.words_per_fault;
   std::vector<uint64_t> err_row(W);
-  for (int s = 0; s < options.num_fault_samples; ++s) {
-    NodeId site = sites[bounded_pick(rng, sites.size())];
-    TransitionFault fault{site, static_cast<bool>(rng() & 1)};
-    PatternSet launch = PatternSet::random(net.num_pis(), W, rng());
-    PatternSet capture = PatternSet::random(net.num_pis(), W, rng());
-    sim.run(launch, capture);
-    sim.inject(fault);
-    const WordSpan z1 = sim.faulty_value(ced.error_pair.rail1);
-    const WordSpan z2 = sim.faulty_value(ced.error_pair.rail2);
+  auto count = [&](int, const FaultSpec& f, const FaultView& v) {
+    const NodeId site = f.sites[0].node;
+    const bool slow_to_rise = !f.sites[0].stuck_value;
     std::fill(err_row.begin(), err_row.end(), 0);
     for (NodeId out : ced.functional_outputs) {
-      accumulate_xor_or(err_row.data(), sim.value(out).data(),
-                        sim.faulty_value(out).data(), W);
+      accumulate_xor_or(err_row.data(), v.golden(out), v.faulty(out), W);
+    }
+    // Keep only the launched vectors: those where the site makes the slow
+    // transition (rises for slow-to-rise, falls for slow-to-fall).
+    const WordSpan before = launch.value(site);
+    const uint64_t* after = v.golden(site);
+    for (int w = 0; w < W; ++w) {
+      err_row[w] &= slow_to_rise ? ~before[w] & after[w]
+                                 : before[w] & ~after[w];
     }
     // The rails agree exactly where the checker flags the fault, so
     // detected = |err| - |(z1 ^ z2) & err|.
     const int64_t erroneous = popcount_words(err_row.data(), W, ~0ULL);
     result.erroneous += erroneous;
     result.detected +=
-        erroneous - popcount_xor_and(z1.data(), z2.data(), err_row.data(), W,
-                                     ~0ULL);
+        erroneous - popcount_xor_and(v.faulty(ced.error_pair.rail1),
+                                     v.faulty(ced.error_pair.rail2),
+                                     err_row.data(), W, ~0ULL);
+  };
+  // A slow-to-rise (slow-to-fall) site captures its stale 0 (1) on exactly
+  // the vectors where it rises (falls), and its fault-free value on every
+  // other vector. A combinational circuit evaluates each vector on its own,
+  // so the capture is a stuck-at-0 (stuck-at-1) counted on the launched
+  // vectors only. Draws per sample: site, polarity, launch seed, capture
+  // seed.
+  for (int s = 0; s < options.num_fault_samples; ++s) {
+    const NodeId site = sites[bounded_pick(rng, sites.size())];
+    const bool slow_to_rise = (rng() & 1) != 0;
+    launch.run(PatternSet::random(net.num_pis(), W, rng()));
+    PatternSet capture = PatternSet::random(net.num_pis(), W, rng());
+    engine.run_batch(capture, {FaultSpec::stuck_at(site, !slow_to_rise)},
+                     count);
     result.runs += 64ll * W;
   }
   return result;

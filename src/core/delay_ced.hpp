@@ -3,10 +3,15 @@
 // reused unchanged: a transition fault manifests at capture time as a
 // unidirectional error at the functional outputs, which the 0/1-approximate
 // checkers flag exactly as they do for stuck-at faults.
+//
+// A slow-to-rise (slow-to-fall) fault at a node delays its 0->1 (1->0)
+// transition past the clock edge. Under the two-pattern model the captured
+// value at the site is x2 AND x1 (x2 OR x1) for launch value x1 and capture
+// value x2, and the stale value propagates through the fanout cone. Both
+// PI fanout stems and gate outputs are fault sites.
 #pragma once
 
 #include "core/ced.hpp"
-#include "sim/transition_fault.hpp"
 
 namespace apx {
 
@@ -23,7 +28,8 @@ struct DelayCoverageOptions {
 };
 
 /// Monte-Carlo transition-fault injection over the functional gates of a
-/// CED design, using random launch/capture pattern pairs.
+/// CED design, using random launch/capture pattern pairs. Throws
+/// std::invalid_argument for a non-positive words_per_fault.
 CoverageResult evaluate_delay_fault_coverage(
     const CedDesign& ced, const DelayCoverageOptions& options = {});
 

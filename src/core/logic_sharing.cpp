@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "core/task_pool.hpp"
 #include "sat/encode.hpp"
+#include "sim/fault_engine.hpp"
 #include "sim/kernels.hpp"
 #include "sim/simulator.hpp"
 
@@ -82,28 +84,33 @@ SharingReport apply_logic_sharing(CedDesign& ced,
   {
     std::unordered_map<NodeId, double> mass;
     double total_mass = 0.0;
-    Simulator fault_sim(net);
-    PatternSet patterns = PatternSet::random(
-        net.num_pis(), options.criticality_words, options.seed ^ 0xC417);
-    fault_sim.run(patterns);
+    // Both stuck-at polarities of every functional node in one batch; each
+    // fault writes its own slot, so the sums are independent of threads.
+    const std::vector<NodeId>& sites = ced.functional_nodes;
+    std::vector<FaultSpec> faults;
+    faults.reserve(2 * sites.size());
+    for (NodeId f : sites) {
+      faults.push_back(FaultSpec::stuck_at(f, false));
+      faults.push_back(FaultSpec::stuck_at(f, true));
+    }
     const int W = options.criticality_words;
-    std::vector<uint64_t> err_row(W);
-    auto error_mass = [&](NodeId site) {
-      int64_t m = 0;
-      for (bool stuck : {false, true}) {
-        fault_sim.inject({site, stuck});
-        std::fill(err_row.begin(), err_row.end(), 0);
-        for (NodeId out : ced.functional_outputs) {
-          accumulate_xor_or(err_row.data(), fault_sim.value(out).data(),
-                            fault_sim.faulty_value(out).data(), W);
-        }
-        m += popcount_words(err_row.data(), W, ~0ULL);
-      }
-      return static_cast<double>(m);
-    };
-    for (NodeId f : ced.functional_nodes) {
-      double m = error_mass(f);
-      mass[f] = m;
+    std::vector<int64_t> fault_mass(faults.size(), 0);
+    std::vector<std::vector<uint64_t>> err_rows(resolve_thread_option(0));
+    FaultSimEngine engine(net);
+    engine.run_batch(
+        PatternSet::random(net.num_pis(), W, options.seed ^ 0xC417), faults,
+        [&](int i, const FaultSpec&, const FaultView& v) {
+          std::vector<uint64_t>& err = err_rows[v.worker_slot()];
+          err.assign(static_cast<size_t>(W), 0);
+          for (NodeId out : ced.functional_outputs) {
+            accumulate_xor_or(err.data(), v.golden(out), v.faulty(out), W);
+          }
+          fault_mass[i] = popcount_words(err.data(), W, ~0ULL);
+        });
+    for (size_t k = 0; k < sites.size(); ++k) {
+      const double m =
+          static_cast<double>(fault_mass[2 * k] + fault_mass[2 * k + 1]);
+      mass[sites[k]] = m;
       total_mass += m;
     }
     std::sort(provable.begin(), provable.end(),

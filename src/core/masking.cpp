@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <random>
+#include <stdexcept>
 
+#include "sim/fault_engine.hpp"
 #include "sim/kernels.hpp"
 #include "sim/rng.hpp"
-#include "sim/simulator.hpp"
 
 namespace apx {
 
@@ -57,35 +58,41 @@ MaskingDesign build_masking_design(
 
 MaskingResult evaluate_masking(const MaskingDesign& design,
                                const CoverageOptions& options) {
+  if (options.words_per_fault <= 0) {
+    throw std::invalid_argument(
+        "evaluate_masking: words_per_fault must be positive");
+  }
   MaskingResult result;
   const CedDesign& ced = design.ced;
   if (ced.functional_nodes.empty()) return result;
   std::mt19937_64 rng(options.seed);
-  Simulator sim(ced.design);
+  FaultSimEngine engine(ced.design);
 
   const int W = options.words_per_fault;
   std::vector<uint64_t> raw_row(W), masked_row(W);
-  for (int s = 0; s < options.num_fault_samples; ++s) {
-    NodeId site =
-        ced.functional_nodes[bounded_pick(rng, ced.functional_nodes.size())];
-    StuckFault fault{site, static_cast<bool>(rng() & 1)};
-    PatternSet patterns = PatternSet::random(ced.design.num_pis(), W, rng());
-    sim.run(patterns);
-    sim.inject(fault);
+  auto count = [&](int, const FaultSpec&, const FaultView& v) {
     std::fill(raw_row.begin(), raw_row.end(), 0);
     std::fill(masked_row.begin(), masked_row.end(), 0);
     for (size_t o = 0; o < ced.functional_outputs.size(); ++o) {
       NodeId y = ced.functional_outputs[o];
       NodeId m = design.masked_outputs[o];
-      accumulate_xor_or(raw_row.data(), sim.value(y).data(),
-                        sim.faulty_value(y).data(), W);
+      accumulate_xor_or(raw_row.data(), v.golden(y), v.faulty(y), W);
       // The corrected output is judged against the fault-free *raw*
       // function (the masked output equals it in fault-free operation).
-      accumulate_xor_or(masked_row.data(), sim.value(y).data(),
-                        sim.faulty_value(m).data(), W);
+      accumulate_xor_or(masked_row.data(), v.golden(y), v.faulty(m), W);
     }
     result.raw_errors += popcount_words(raw_row.data(), W, ~0ULL);
     result.masked_errors += popcount_words(masked_row.data(), W, ~0ULL);
+  };
+  // One fault per sample on its own patterns, drawn in the order site,
+  // polarity, pattern seed.
+  for (int s = 0; s < options.num_fault_samples; ++s) {
+    NodeId site =
+        ced.functional_nodes[bounded_pick(rng, ced.functional_nodes.size())];
+    const bool stuck_value = (rng() & 1) != 0;
+    PatternSet patterns = PatternSet::random(ced.design.num_pis(), W, rng());
+    engine.run_batch(patterns, {FaultSpec::stuck_at(site, stuck_value)},
+                     count, options.num_threads);
     result.runs += 64ll * W;
   }
   return result;

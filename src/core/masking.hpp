@@ -54,6 +54,9 @@ struct MaskingResult {
   }
 };
 
+/// Random single-stuck-at injection over the functional gates, one fault
+/// per sample on its own `words_per_fault` random pattern words. Throws
+/// std::invalid_argument for a non-positive words_per_fault.
 MaskingResult evaluate_masking(const MaskingDesign& design,
                                const CoverageOptions& options = {});
 

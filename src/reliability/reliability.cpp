@@ -10,8 +10,11 @@ ReliabilityReport analyze_reliability(const Network& net,
                                       const ReliabilityOptions& options) {
   ReliabilityReport report;
   report.outputs.assign(net.num_pos(), {});
-  std::vector<StuckFault> faults = enumerate_faults(net);
-  if (faults.empty() || net.num_pos() == 0 || options.num_fault_samples <= 0) {
+  std::vector<NodeId> sites;
+  for (NodeId id = 0; id < net.num_nodes(); ++id) {
+    if (net.node(id).kind == NodeKind::kLogic) sites.push_back(id);
+  }
+  if (sites.empty() || net.num_pos() == 0 || options.num_fault_samples <= 0) {
     return report;
   }
 
@@ -22,37 +25,22 @@ ReliabilityReport analyze_reliability(const Network& net,
   copt.faults_per_batch = options.faults_per_batch;
   copt.num_threads = options.num_threads;
   copt.seed = options.seed;
-  auto sampler = [&faults](uint64_t sample_seed) {
-    return faults[SplitMix64(sample_seed).next() % faults.size()];
-  };
-  // Model dispatch: both passes replay the identical sample stream, so the
-  // fault-agnostic accounting bodies below are shared; only the sampler
-  // (and the visitor's fault type) changes with the model.
-  FaultSimEngine::SpecSampler spec_sampler;
-  if (options.model != FaultModel::kSingleStuckAt) {
-    std::vector<NodeId> site_nodes;
-    for (NodeId id = 0; id < net.num_nodes(); ++id) {
-      if (net.node(id).kind == NodeKind::kLogic) site_nodes.push_back(id);
-    }
+  // Both passes replay the identical sample stream, so the fault-agnostic
+  // accounting bodies below are shared; only the sampler changes with the
+  // model. The single-stuck-at draw picks one of the 2N (node, polarity)
+  // pairs, pair k being node k / 2 stuck at k & 1.
+  FaultSimEngine::Sampler sampler;
+  if (options.model == FaultModel::kSingleStuckAt) {
+    sampler = [&sites](uint64_t sample_seed) {
+      const uint64_t k = SplitMix64(sample_seed).next() % (2 * sites.size());
+      return FaultSpec::stuck_at(sites[k / 2], (k & 1) != 0);
+    };
+  } else {
     copt.model = options.model;
     copt.sites_per_fault = options.sites_per_fault;
     copt.burst_vectors = options.burst_vectors;
-    spec_sampler = FaultSimEngine::make_sampler(options.model,
-                                                std::move(site_nodes), copt);
+    sampler = FaultSimEngine::make_sampler(options.model, sites, copt);
   }
-  auto run_pass = [&](const std::function<void(int, const FaultView&)>& body) {
-    if (options.model == FaultModel::kSingleStuckAt) {
-      engine.run_campaign(copt, sampler,
-                          [&](int i, const StuckFault&, const FaultView& v) {
-                            body(i, v);
-                          });
-    } else {
-      engine.run_campaign(copt, spec_sampler,
-                          [&](int i, const FaultSpec&, const FaultView& v) {
-                            body(i, v);
-                          });
-    }
-  };
 
   const int P = net.num_pos();
   const int slots = resolve_thread_option(options.num_threads);
@@ -75,7 +63,8 @@ ReliabilityReport analyze_reliability(const Network& net,
   // Per-worker "some PO differs" rows: e01 | e10 == g ^ f, folded across
   // outputs by the accumulate kernel and counted once per sample.
   std::vector<std::vector<uint64_t>> any_scratch(slots);
-  run_pass([&](int, const FaultView& v) {
+  engine.run_campaign(copt, sampler, [&](int, const FaultSpec&,
+                                         const FaultView& v) {
     const int slot = v.worker_slot();
     int64_t* c01 = &slot01[static_cast<size_t>(slot) * P];
     int64_t* c10 = &slot10[static_cast<size_t>(slot) * P];
@@ -116,7 +105,8 @@ ReliabilityReport analyze_reliability(const Network& net,
   // Pass 2, identical sample stream: count runs where some PO erred in its
   // dominant (protected) direction.
   std::vector<int64_t> slot_dominant(slots, 0);
-  run_pass([&](int, const FaultView& v) {
+  engine.run_campaign(copt, sampler, [&](int, const FaultSpec&,
+                                         const FaultView& v) {
     const int slot = v.worker_slot();
     const int W = v.num_words();
     std::vector<uint64_t>& dom_row = any_scratch[slot];

@@ -63,9 +63,9 @@ struct ReliabilityOptions {
   int num_fault_samples = 2000;
   /// Words of random vectors per sampled fault (64 vectors per word).
   int words_per_fault = 4;
-  /// Fault model driving the error-rate campaign. kSingleStuckAt takes the
-  /// exact legacy code path (bit-identical results); the other models use
-  /// the engine's stock samplers over the logic nodes.
+  /// Fault model driving the error-rate campaign. kSingleStuckAt draws one
+  /// of the 2N (logic node, polarity) pairs; the other models use the
+  /// engine's stock samplers over the logic nodes.
   FaultModel model = FaultModel::kSingleStuckAt;
   /// Simultaneous stuck-at sites per sample under kMultiStuckAt.
   int sites_per_fault = 2;

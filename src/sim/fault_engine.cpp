@@ -69,7 +69,7 @@ FaultSimEngine::FaultSimEngine(const Network& net)
 }
 
 bool FaultSimEngine::is_live_site(NodeId node, bool stuck_value) const {
-  if (node == kNullNode || node >= net_.num_nodes()) return false;
+  if (node < 0 || node >= net_.num_nodes()) return false;
   const NodeKind kind = net_.node(node).kind;
   if (kind == NodeKind::kConst0 && !stuck_value) return false;
   if (kind == NodeKind::kConst1 && stuck_value) return false;
@@ -85,7 +85,9 @@ bool FaultSimEngine::validate_spec(const FaultSpec& spec,
   bool live = true;
   for (int s = 0; s < spec.num_sites; ++s) {
     const FaultSite& site = spec.sites[s];
-    if (site.node == kNullNode || site.node >= net_.num_nodes()) {
+    // Every negative id is invalid, not only kNullNode: a site below it
+    // would index before the value arena.
+    if (site.node < 0 || site.node >= net_.num_nodes()) {
       throw std::logic_error(
           "FaultSimEngine: sampler returned an out-of-range fault site");
     }
@@ -163,59 +165,9 @@ void FaultSimEngine::run_golden(const PatternSet& patterns, int num_vectors) {
   }
 }
 
-void FaultSimEngine::simulate_fault(Worker& w, const StuckFault& fault) const {
-  const int W = num_words_;
-  if (++w.epoch == 0) {
-    // uint32 epoch wrapped: old marks would alias the fresh epoch.
-    std::fill(w.valid.begin(), w.valid.end(), 0u);
-    std::fill(w.queued.begin(), w.queued.end(), 0u);
-    w.epoch = 1;
-  }
-  const uint32_t epoch = w.epoch;
-  const uint64_t forced = fault.stuck_value ? ~0ULL : 0ULL;
-  uint64_t* fv = w.values.row(fault.node);
-  const uint64_t* gv = golden_.row(fault.node);
-  std::fill(fv, fv + W, forced);
-  // Fault value equals golden on every valid pattern: nothing can
-  // propagate (padding bits of the final word never excite a fault).
-  if (!rows_differ(fv, gv, W, tail_mask_)) return;
-  w.valid[fault.node] = epoch;
-
-  const TopologyView& view = *view_;
-  auto schedule = [&](NodeId id) {
-    if (w.queued[id] != epoch) {
-      w.queued[id] = epoch;
-      w.buckets[view.level(id)].push_back(id);
-    }
-  };
-  for (NodeId o : view.fanouts(fault.node)) schedule(o);
-
-  const int max_level = view.max_level();
-  for (int lvl = view.level(fault.node) + 1; lvl <= max_level; ++lvl) {
-    auto& bucket = w.buckets[lvl];
-    for (NodeId id : bucket) {
-      const Node& n = net_.node(id);
-      w.fanin.clear();
-      for (NodeId f : n.fanins) {
-        w.fanin.push_back(w.valid[f] == epoch ? w.values.row(f)
-                                              : golden_.row(f));
-      }
-      uint64_t* out = w.values.row(id);
-      eval_sop_words(n.sop, w.fanin.data(), W, out);
-      // Faulty value collapsed back to golden on every valid pattern: the
-      // event dies here (padding differences cannot keep it alive).
-      if (!rows_differ(out, golden_.row(id), W, tail_mask_)) continue;
-      w.valid[id] = epoch;
-      for (NodeId o : view.fanouts(id)) schedule(o);
-    }
-    bucket.clear();
-  }
-}
-
-// Generalized injection. For a single permanent site this walks the exact
-// schedule of the StuckFault overload (the extra `queued` pin on the site
-// is never consulted in a DAG), so the single-stuck-at path is
-// byte-identical to the legacy engine.
+// The one injection walk: seeds every site's row, then re-evaluates the
+// union of the sites' fanout cones level by level, dropping an event as
+// soon as a node's faulty row collapses back to golden.
 void FaultSimEngine::simulate_fault(Worker& w, const FaultSpec& spec) const {
   const int W = num_words_;
   if (++w.epoch == 0) {
@@ -342,28 +294,9 @@ void FaultSimEngine::parallel_for(
       });
 }
 
-// The legacy StuckFault campaign rides the FaultSpec core: the wrapper
-// sampler produces single permanent sites, whose injection is
-// byte-identical to the original single-stuck-at engine (see
-// simulate_fault above), and the wrapper visitor hands the site back as a
-// StuckFault. Seed schedule, batch geometry and dead-site policy are the
-// spec core's.
 void FaultSimEngine::run_campaign(const CampaignOptions& options,
                                   const Sampler& sampler,
                                   const Visitor& visit) {
-  run_campaign(
-      options,
-      SpecSampler([&sampler](uint64_t sample_seed) {
-        return FaultSpec::stuck_at(sampler(sample_seed));
-      }),
-      SpecVisitor([&visit](int i, const FaultSpec& f, const FaultView& v) {
-        visit(i, StuckFault{f.sites[0].node, f.sites[0].stuck_value}, v);
-      }));
-}
-
-void FaultSimEngine::run_campaign(const CampaignOptions& options,
-                                  const SpecSampler& sampler,
-                                  const SpecVisitor& visit) {
   if ((options.words_per_fault <= 0 && options.vectors_per_fault <= 0) ||
       options.faults_per_batch <= 0) {
     throw std::invalid_argument(
@@ -426,21 +359,8 @@ void FaultSimEngine::run_campaign(const CampaignOptions& options,
 }
 
 void FaultSimEngine::run_batch(const PatternSet& patterns,
-                               const std::vector<StuckFault>& faults,
-                               const Visitor& visit, int num_threads,
-                               int num_vectors) {
-  run_golden(patterns, num_vectors);
-  const int threads = resolve_thread_option(num_threads);
-  parallel_for(0, static_cast<int>(faults.size()), threads,
-               [&](Worker& w, int slot, int i) {
-                 simulate_fault(w, faults[i]);
-                 visit(i, faults[i], view_of(w, slot));
-               });
-}
-
-void FaultSimEngine::run_batch(const PatternSet& patterns,
                                const std::vector<FaultSpec>& faults,
-                               const SpecVisitor& visit, int num_threads,
+                               const Visitor& visit, int num_threads,
                                int num_vectors) {
   run_golden(patterns, num_vectors);
   // Structural validation only (range, duplicates, burst shape): the
@@ -454,7 +374,7 @@ void FaultSimEngine::run_batch(const PatternSet& patterns,
                });
 }
 
-FaultSimEngine::SpecSampler FaultSimEngine::make_sampler(
+FaultSimEngine::Sampler FaultSimEngine::make_sampler(
     FaultModel model, std::vector<NodeId> sites,
     const CampaignOptions& options) {
   if (sites.empty()) {
@@ -466,14 +386,13 @@ FaultSimEngine::SpecSampler FaultSimEngine::make_sampler(
                           : options.words_per_fault * 64;
   switch (model) {
     case FaultModel::kSingleStuckAt:
-      // Exactly the legacy uniform stuck-at sampler (same SplitMix64 draw
-      // order), so campaigns through this sampler reproduce historical
-      // single-fault results bit for bit.
+      // Site first, then polarity: the draw order every recorded
+      // single-stuck-at coverage result depends on.
       return [sites = std::move(sites)](uint64_t sample_seed) {
         SplitMix64 rng(sample_seed);
         const NodeId node = sites[rng.next() % sites.size()];
-        StuckFault fault{node, static_cast<bool>(rng.next() & 1)};
-        return FaultSpec::stuck_at(fault);
+        const bool stuck_value = (rng.next() & 1) != 0;
+        return FaultSpec::stuck_at(node, stuck_value);
       };
     case FaultModel::kMultiStuckAt: {
       const int k = std::min(std::max(options.sites_per_fault, 1),
@@ -521,58 +440,6 @@ FaultSimEngine::SpecSampler FaultSimEngine::make_sampler(
     }
   }
   throw std::invalid_argument("FaultSimEngine::make_sampler: unknown model");
-}
-
-DetectionReport FaultSimEngine::detect_faults(
-    const std::vector<StuckFault>& faults, const std::vector<NodeId>& observe,
-    const DetectOptions& options) {
-  DetectionReport report;
-  report.detected.assign(faults.size(), 0);
-  report.detecting_batch.assign(faults.size(), -1);
-  if (faults.empty() || observe.empty() || options.max_words <= 0) {
-    return report;
-  }
-  const int wpb = std::max(1, std::min(options.words_per_batch,
-                                       options.max_words));
-  const int num_batches = (options.max_words + wpb - 1) / wpb;
-  const int threads = resolve_thread_option(options.num_threads);
-
-  std::vector<int> alive(faults.size());
-  for (size_t i = 0; i < faults.size(); ++i) alive[i] = static_cast<int>(i);
-
-  for (int b = 0; b < num_batches && !alive.empty(); ++b) {
-    PatternSet patterns = PatternSet::random(
-        net_.num_pis(), wpb,
-        derive_seed(options.seed ^ kPatternStream, static_cast<uint64_t>(b)));
-    run_golden(patterns, 0);
-    std::vector<uint8_t> hit(alive.size(), 0);
-    parallel_for(0, static_cast<int>(alive.size()), threads,
-                 [&](Worker& w, int slot, int j) {
-                   simulate_fault(w, faults[alive[j]]);
-                   FaultView v = view_of(w, slot);
-                   for (NodeId obs : observe) {
-                     // touched() holds exactly when faulty != golden on
-                     // some pattern — i.e. the fault is detected at obs.
-                     if (v.touched(obs)) {
-                       hit[j] = 1;
-                       break;
-                     }
-                   }
-                 });
-    report.fault_batch_evals += static_cast<int64_t>(alive.size());
-    std::vector<int> still_alive;
-    still_alive.reserve(alive.size());
-    for (size_t j = 0; j < alive.size(); ++j) {
-      if (hit[j]) {
-        report.detected[alive[j]] = 1;
-        report.detecting_batch[alive[j]] = b;
-      } else {
-        still_alive.push_back(alive[j]);
-      }
-    }
-    alive.swap(still_alive);  // fault dropping
-  }
-  return report;
 }
 
 }  // namespace apx

@@ -1,5 +1,7 @@
 // Shared-pattern, multi-threaded fault-simulation engine (single and
-// multi-site stuck-at faults, plus burst-transient faults).
+// multi-site stuck-at faults, plus burst-transient faults): the library's
+// one fault injector. Transition faults reduce to stuck-ats on it, counted
+// on the launched vectors (core/delay_ced.cpp).
 //
 // The measurement loops behind the paper's headline numbers (CED coverage,
 // per-output error rates) sample thousands of (fault, vector-batch) pairs.
@@ -48,8 +50,7 @@
 namespace apx {
 
 /// Fault models a campaign can sample from. All three ride the same
-/// event-driven substrate; kSingleStuckAt takes the exact code path the
-/// original single-fault engine used (bit-identical results).
+/// event-driven cone walk.
 enum class FaultModel {
   kSingleStuckAt,   ///< one permanent stuck-at site per sample
   kMultiStuckAt,    ///< `sites_per_fault` simultaneous stuck-at sites
@@ -71,18 +72,18 @@ struct FaultSite {
 };
 
 /// A sampled fault: up to kMaxSites simultaneous sites. Plain value type;
-/// construct single stuck-ats through the factory (deliberately no implicit
-/// StuckFault conversion, so the legacy overloads stay unambiguous).
+/// construct single stuck-ats through the factory.
 struct FaultSpec {
   static constexpr int kMaxSites = 4;
 
   FaultSite sites[kMaxSites] = {};
   int num_sites = 0;
 
-  static FaultSpec stuck_at(const StuckFault& f) {
+  /// One permanent stuck-at-`stuck_value` site on the output of `node`.
+  static FaultSpec stuck_at(NodeId node, bool stuck_value) {
     FaultSpec spec;
-    spec.sites[0].node = f.node;
-    spec.sites[0].stuck_value = f.stuck_value;
+    spec.sites[0].node = node;
+    spec.sites[0].stuck_value = stuck_value;
     spec.num_sites = 1;
     return spec;
   }
@@ -195,40 +196,12 @@ struct CampaignOptions {
   DeadSitePolicy dead_sites = DeadSitePolicy::kReject;
 };
 
-/// Options for detect_faults (fault-dropping coverage of a fault list).
-struct DetectOptions {
-  /// Pattern budget per fault, in 64-bit words.
-  int max_words = 64;
-  /// Words per shared golden batch; faults detected in an early batch are
-  /// dropped from all later batches.
-  int words_per_batch = 8;
-  /// Parallelism cap on the shared task pool; 0 = apx::thread_count().
-  int num_threads = 0;
-  uint64_t seed = 0xD7EC7;
-};
-
-/// detect_faults result. `fault_batch_evals` counts (fault, batch) pairs
-/// actually simulated — with dropping this is far below
-/// faults * ceil(max_words / words_per_batch).
-struct DetectionReport {
-  std::vector<uint8_t> detected;
-  /// Batch index at which each fault was first detected, -1 if never.
-  std::vector<int32_t> detecting_batch;
-  int64_t fault_batch_evals = 0;
-
-  int64_t num_detected() const {
-    int64_t n = 0;
-    for (uint8_t d : detected) n += d;
-    return n;
-  }
-};
-
 /// Bit-parallel fault-simulation engine over a fixed network.
 ///
-/// Thread-safety: run_campaign / run_batch / detect_faults are themselves
-/// not reentrant (one campaign at a time per engine), but they invoke the
-/// visitor concurrently from worker threads — a visitor must only touch
-/// state owned by its sample index (or synchronize explicitly).
+/// Thread-safety: run_campaign / run_batch are themselves not reentrant
+/// (one campaign at a time per engine), but they invoke the visitor
+/// concurrently from worker threads — a visitor must only touch state
+/// owned by its sample index (or synchronize explicitly).
 class FaultSimEngine {
  public:
   explicit FaultSimEngine(const Network& net);
@@ -243,17 +216,10 @@ class FaultSimEngine {
   /// are observable (have fanouts or drive a PO) and, for constants, the
   /// opposite polarity. Dead sites can never produce an erroneous run;
   /// CampaignOptions::dead_sites picks what the engine does with them.
-  using Sampler = std::function<StuckFault(uint64_t sample_seed)>;
+  using Sampler = std::function<FaultSpec(uint64_t sample_seed)>;
   /// Called exactly once per sample with that fault's view of its batch.
-  using Visitor =
-      std::function<void(int sample_index, const StuckFault& fault,
-                         const FaultView& view)>;
-
-  /// Generalized forms over FaultSpec (multi-site / transient faults).
-  /// Same purity and liveness contract as Sampler, for every site.
-  using SpecSampler = std::function<FaultSpec(uint64_t sample_seed)>;
-  using SpecVisitor = std::function<void(
-      int sample_index, const FaultSpec& fault, const FaultView& view)>;
+  using Visitor = std::function<void(int sample_index, const FaultSpec& fault,
+                                     const FaultView& view)>;
 
   /// Runs a Monte-Carlo campaign: sample i's fault is
   /// sampler(derive_seed(seed, i)); batch b's patterns are
@@ -264,22 +230,15 @@ class FaultSimEngine {
   void run_campaign(const CampaignOptions& options, const Sampler& sampler,
                     const Visitor& visit);
 
-  /// FaultSpec campaign: identical seed/batch schedule; specs sampled
-  /// through a single-site permanent sampler produce byte-identical views
-  /// to the StuckFault overload.
-  void run_campaign(const CampaignOptions& options, const SpecSampler& sampler,
-                    const SpecVisitor& visit);
-
   /// Stock deterministic sampler for `options.model`, drawing uniformly
   /// from `sites` with per-site random polarity. kMultiStuckAt draws
   /// `options.sites_per_fault` distinct nodes; kTransientBurst places a
   /// `options.burst_vectors`-long forced window uniformly inside the
   /// campaign's vector range, both derived purely from the sample seed.
-  /// kSingleStuckAt reproduces the legacy uniform stuck-at sampler bit for
-  /// bit. `sites` must be non-empty.
-  static SpecSampler make_sampler(FaultModel model,
-                                  std::vector<NodeId> sites,
-                                  const CampaignOptions& options);
+  /// kSingleStuckAt draws the site as `rng() % sites.size()`, then the
+  /// polarity, from one SplitMix64 stream. `sites` must be non-empty.
+  static Sampler make_sampler(FaultModel model, std::vector<NodeId> sites,
+                              const CampaignOptions& options);
 
   /// True when a stuck-at of this polarity at `node` can ever produce an
   /// erroneous run: the node is observable (fanouts or a PO driver) and is
@@ -292,25 +251,12 @@ class FaultSimEngine {
   /// restricts detection to the first num_vectors patterns (the final
   /// word's padding bits are masked out). num_threads follows the
   /// CampaignOptions convention: 0 = apx::thread_count() (APX_THREADS
-  /// policy); results are bit-identical for any value. No dead-site
-  /// validation — the caller owns the explicit fault list.
+  /// policy); results are bit-identical for any value. Structural
+  /// validation only — the caller owns the explicit fault list, so dead
+  /// sites are simulated.
   void run_batch(const PatternSet& patterns,
-                 const std::vector<StuckFault>& faults, const Visitor& visit,
+                 const std::vector<FaultSpec>& faults, const Visitor& visit,
                  int num_threads = 0, int num_vectors = 0);
-
-  /// FaultSpec form of run_batch.
-  void run_batch(const PatternSet& patterns,
-                 const std::vector<FaultSpec>& faults,
-                 const SpecVisitor& visit, int num_threads = 0,
-                 int num_vectors = 0);
-
-  /// Classic fault-dropping detection: simulates every fault against
-  /// successive random batches observed at `observe` nodes; a fault is
-  /// dropped from later batches once some observed node differs from
-  /// golden. Deterministic for any thread count.
-  DetectionReport detect_faults(const std::vector<StuckFault>& faults,
-                                const std::vector<NodeId>& observe,
-                                const DetectOptions& options);
 
   const Network& network() const { return net_; }
 
@@ -326,7 +272,6 @@ class FaultSimEngine {
   struct Worker;
 
   void run_golden(const PatternSet& patterns, int num_vectors);
-  void simulate_fault(Worker& w, const StuckFault& fault) const;
   void simulate_fault(Worker& w, const FaultSpec& fault) const;
   /// Structural validation (range, duplicate sites, burst shape); throws
   /// std::logic_error. Returns true when every site is live.

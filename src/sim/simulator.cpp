@@ -120,12 +120,7 @@ void Simulator::run(const PatternSet& patterns) {
   bool reshape = num_words_ != patterns.num_words() ||
                  golden_.rows() != net_.num_nodes();
   num_words_ = patterns.num_words();
-  if (reshape) {
-    golden_.reset(net_.num_nodes(), num_words_);
-    faulty_.reset(net_.num_nodes(), num_words_);
-    faulty_epoch_.assign(net_.num_nodes(), 0);
-  }
-  ++epoch_;  // invalidates any previous fault values
+  if (reshape) golden_.reset(net_.num_nodes(), num_words_);
   for (int i = 0; i < net_.num_pis(); ++i) {
     std::memcpy(golden_.row(net_.pis()[i]), patterns.column(i).data(),
                 sizeof(uint64_t) * num_words_);
@@ -172,86 +167,6 @@ double Simulator::total_activity() const {
     }
   }
   return total;
-}
-
-void Simulator::inject(const StuckFault& fault) {
-  if (num_words_ == 0) {
-    throw std::logic_error("Simulator::inject_forced: run() must precede");
-  }
-  forced_scratch_.assign(static_cast<size_t>(num_words_),
-                         fault.stuck_value ? ~0ULL : 0ULL);
-  inject_forced(fault.node, forced_scratch_.data());
-}
-
-void Simulator::inject_forced(NodeId fault_node,
-                              const std::vector<uint64_t>& forced) {
-  if (num_words_ != 0 && forced.size() != static_cast<size_t>(num_words_)) {
-    throw std::logic_error(
-        "Simulator::inject_forced: forced word count mismatch");
-  }
-  inject_forced(fault_node, forced.data());
-}
-
-void Simulator::inject_forced(NodeId fault_node, const uint64_t* forced) {
-  if (fault_node == kNullNode || fault_node < 0 ||
-      fault_node >= net_.num_nodes()) {
-    throw std::logic_error("Simulator::inject_forced: invalid fault node");
-  }
-  if (num_words_ == 0) {
-    throw std::logic_error("Simulator::inject_forced: run() must precede");
-  }
-  StuckFault fault{fault_node, false};  // reuse the cone walk below
-  ++epoch_;
-  // Collect the fanout cone in topological order with epoch-stamped marks
-  // (reused scratch: no per-injection allocation once warmed). The cached
-  // topo order is walked from the fault site's position onward — nothing
-  // before it can be in the fanout cone.
-  const TopologyView& view = *view_;
-  cone_marks_.begin(net_.num_nodes());
-  cone_.clear();
-  cone_marks_.set(fault.node);
-  cone_.push_back(fault.node);
-  const auto& topo = view.topo();
-  for (size_t t = view.topo_position(fault.node) + 1; t < topo.size(); ++t) {
-    NodeId id = topo[t];
-    for (NodeId f : view.fanins(id)) {
-      if (cone_marks_.test(f)) {
-        cone_marks_.set(id);
-        cone_.push_back(id);
-        break;
-      }
-    }
-  }
-  for (NodeId id : cone_) {
-    faulty_epoch_[id] = epoch_;
-    if (id == fault.node) {
-      std::memcpy(faulty_.row(id), forced, sizeof(uint64_t) * num_words_);
-      continue;
-    }
-    const Node& n = net_.node(id);
-    fanin_ptrs_.clear();
-    for (NodeId f : n.fanins) {
-      fanin_ptrs_.push_back(faulty_epoch_[f] == epoch_ ? faulty_.row(f)
-                                                       : golden_.row(f));
-    }
-    eval_sop_words(n.sop, fanin_ptrs_.data(), num_words_, faulty_.row(id));
-  }
-}
-
-WordSpan Simulator::faulty_value(NodeId id) const {
-  return faulty_epoch_[id] == epoch_ && epoch_ > 0 ? faulty_.span(id)
-                                                   : golden_.span(id);
-}
-
-std::vector<StuckFault> enumerate_faults(const Network& net) {
-  std::vector<StuckFault> faults;
-  for (NodeId id = 0; id < net.num_nodes(); ++id) {
-    if (net.node(id).kind == NodeKind::kLogic) {
-      faults.push_back({id, false});
-      faults.push_back({id, true});
-    }
-  }
-  return faults;
 }
 
 }  // namespace apx

@@ -1,10 +1,10 @@
-// Bit-parallel logic simulation with single-stuck-at fault injection and
-// switching-activity estimation, over a flat 64-byte-aligned SoA value
-// arena evaluated by runtime-dispatched SIMD kernels (sim/kernels.hpp).
-// This is the measurement engine behind CED coverage (paper Sec. 4: random
-// fault + random vector runs), power overhead (total switching activity),
-// and the sampled estimates used by the synthesis core for signal
-// probabilities.
+// Bit-parallel fault-free logic simulation and switching-activity
+// estimation, over a flat 64-byte-aligned SoA value arena evaluated by
+// runtime-dispatched SIMD kernels (sim/kernels.hpp). This is the
+// measurement engine behind power overhead (total switching activity) and
+// the sampled estimates used by the synthesis core for signal
+// probabilities. Fault injection lives in one place: FaultSimEngine
+// (sim/fault_engine.hpp).
 #pragma once
 
 #include <cstdint>
@@ -58,25 +58,15 @@ class PatternSet {
   ValueArena bits_;
 };
 
-/// A single stuck-at fault on the output of a node.
-struct StuckFault {
-  NodeId node = kNullNode;
-  bool stuck_value = false;
-
-  bool operator==(const StuckFault& o) const {
-    return node == o.node && stuck_value == o.stuck_value;
-  }
-};
-
-/// Bit-parallel good-machine/faulty-machine simulator over a network. The
+/// Bit-parallel fault-free simulator over a network. The
 /// simulator may outlive mutations of the network: run() re-evaluates every
 /// node and refreshes its cached topological order whenever the network's
 /// structure version moved, so one instance can be reused across repair
 /// rounds instead of being reconstructed per round.
 ///
-/// Value planes are flat SoA arenas (one aligned row per node); value()
-/// and faulty_value() return non-owning WordSpan views that stay valid
-/// until the next run() with a different geometry.
+/// The value plane is a flat SoA arena (one aligned row per node); value()
+/// returns non-owning WordSpan views that stay valid until the next run()
+/// with a different geometry.
 class Simulator {
  public:
   explicit Simulator(const Network& net);
@@ -101,23 +91,6 @@ class Simulator {
   /// Table 2 metric).
   double total_activity() const;
 
-  /// Simulates the circuit with `fault` injected; only the fault's fanout
-  /// cone is re-evaluated. Results readable via faulty_value(). run() must
-  /// have been called with the same patterns first.
-  void inject(const StuckFault& fault);
-
-  /// Generalized injection: forces the node's output to arbitrary per-word
-  /// values (used by the transition-fault model) and re-evaluates the
-  /// fanout cone.
-  void inject_forced(NodeId node, const std::vector<uint64_t>& forced);
-
-  /// Pointer form of inject_forced for callers that keep their own scratch
-  /// (`forced` must hold num_words() words); allocation-free once warmed.
-  void inject_forced(NodeId node, const uint64_t* forced);
-
-  /// Value words of a node under the last injected fault.
-  WordSpan faulty_value(NodeId id) const;
-
   const Network& network() const { return net_; }
 
  private:
@@ -128,22 +101,6 @@ class Simulator {
   int num_words_ = 0;
 
   ValueArena golden_;
-  // Faulty plane, same geometry as golden_; `faulty_epoch_[id]` tells
-  // whether the row is valid for the current fault.
-  ValueArena faulty_;
-  std::vector<uint32_t> faulty_epoch_;
-  uint32_t epoch_ = 0;
-
-  // inject/inject_forced scratch, reused across injections (no per-call
-  // heap allocations on the steady-state path).
-  EpochMarks cone_marks_;
-  std::vector<NodeId> cone_;
-  std::vector<const uint64_t*> fanin_ptrs_;
-  std::vector<uint64_t> forced_scratch_;
 };
-
-/// Enumerates all 2N single-stuck-at fault sites of the logic nodes of a
-/// network (the paper's fault model: every gate equally likely to fail).
-std::vector<StuckFault> enumerate_faults(const Network& net);
 
 }  // namespace apx

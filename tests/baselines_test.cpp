@@ -93,7 +93,7 @@ TEST(PartialDuplicationTest, NoFalseAlarmsAndDetectsErrors) {
 }
 
 TEST(PartialDuplicationTest, WireOnlyNetworkHasNoFaultSites) {
-  // PIs wired straight to POs: enumerate_faults() is empty. The old
+  // PIs wired straight to POs: there are no logic-node fault sites. The old
   // ranking loop computed rng() % 0 — integer division by zero (UB,
   // SIGFPE in practice) — before ever reaching the guarded histogram.
   Network net;

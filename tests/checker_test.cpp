@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/fault_engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace apx {
@@ -147,23 +148,27 @@ TEST(CheckerTest, ZeroApproxUndetectableFaultDirections) {
   TwoRail pair = build_approx_checker(net, y, x, ApproxDirection::kZeroApprox);
   net.add_po("z1", pair.rail1);
   net.add_po("z2", pair.rail2);
-  Simulator sim(net);
-  sim.run(PatternSet::exhaustive(2));
+  FaultSimEngine engine(net);
 
-  auto rails_agree_somewhere = [&](StuckFault f) {
-    sim.inject(f);
-    uint64_t z1 = sim.faulty_value(net.po(0).driver)[0];
-    uint64_t z2 = sim.faulty_value(net.po(1).driver)[0];
-    uint64_t mask = 0xF;  // 4 exhaustive patterns replicated
-    return ((~(z1 ^ z2)) & mask) != 0;
+  auto rails_agree_somewhere = [&](NodeId node, bool stuck_value) {
+    bool agree = false;
+    engine.run_batch(PatternSet::exhaustive(2),
+                     {FaultSpec::stuck_at(node, stuck_value)},
+                     [&](int, const FaultSpec&, const FaultView& v) {
+                       uint64_t z1 = v.faulty(net.po(0).driver)[0];
+                       uint64_t z2 = v.faulty(net.po(1).driver)[0];
+                       uint64_t mask = 0xF;  // 4 exhaustive patterns replicated
+                       agree = ((~(z1 ^ z2)) & mask) != 0;
+                     });
+    return agree;
   };
   // Y stuck-at-0: checker sees valid codewords only -> never flagged.
-  EXPECT_FALSE(rails_agree_somewhere({y, false}));
+  EXPECT_FALSE(rails_agree_somewhere(y, false));
   // X stuck-at-1: likewise undetectable.
-  EXPECT_FALSE(rails_agree_somewhere({x, true}));
+  EXPECT_FALSE(rails_agree_somewhere(x, true));
   // The protected directions ARE detectable.
-  EXPECT_TRUE(rails_agree_somewhere({y, true}));   // Y 0->1 errors
-  EXPECT_TRUE(rails_agree_somewhere({x, false}));  // X stuck-at-0
+  EXPECT_TRUE(rails_agree_somewhere(y, true));   // Y 0->1 errors
+  EXPECT_TRUE(rails_agree_somewhere(x, false));  // X stuck-at-0
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "core/ced.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/optimize.hpp"
+#include "reference_sim.hpp"
 #include "reliability/reliability.hpp"
 
 namespace apx {
@@ -35,6 +36,17 @@ Network random_network(uint32_t seed, int pis = 6, int gates = 30) {
   return net;
 }
 
+// Both stuck-at polarities of every logic node.
+std::vector<FaultSpec> all_stuck_at(const Network& net) {
+  std::vector<FaultSpec> faults;
+  for (NodeId id = 0; id < net.num_nodes(); ++id) {
+    if (net.node(id).kind != NodeKind::kLogic) continue;
+    faults.push_back(FaultSpec::stuck_at(id, false));
+    faults.push_back(FaultSpec::stuck_at(id, true));
+  }
+  return faults;
+}
+
 CedDesign duplication_ced(const std::string& bench) {
   Network mapped = technology_map(quick_synthesis(make_benchmark(bench)));
   std::vector<ApproxDirection> dirs(mapped.num_pos(),
@@ -44,30 +56,28 @@ CedDesign duplication_ced(const std::string& bench) {
 
 TEST(FaultEngineTest, RunBatchMatchesSimulator) {
   Network net = random_network(11);
-  std::vector<StuckFault> faults = enumerate_faults(net);
+  std::vector<FaultSpec> faults = all_stuck_at(net);
   PatternSet patterns = PatternSet::random(net.num_pis(), 4, 77);
-
-  Simulator sim(net);
-  sim.run(patterns);
+  const Plane golden = reference_plane(net, patterns, nullptr, nullptr);
 
   FaultSimEngine engine(net);
   std::atomic<int> visited{0};
-  // num_threads = 1 explicitly: the visitor injects into one shared
-  // Simulator, which is not safe under concurrent visits.
-  auto check = [&](int i, const StuckFault& fault,
-                   const FaultView& view) {
-    EXPECT_EQ(fault.node, faults[i].node);
-    sim.inject(fault);
+  // Every fault's view against a brute-force full re-simulation with the
+  // site forced: the engine's cone walk and early stop must not change a
+  // single word of any node.
+  auto check = [&](int i, const FaultSpec& fault, const FaultView& view) {
+    EXPECT_EQ(fault.sites[0].node, faults[i].sites[0].node);
+    const Plane faulty = reference_plane(net, patterns, &fault, nullptr);
     for (NodeId id = 0; id < net.num_nodes(); ++id) {
       for (int w = 0; w < view.num_words(); ++w) {
-        ASSERT_EQ(view.golden(id)[w], sim.value(id)[w]);
-        ASSERT_EQ(view.faulty(id)[w], sim.faulty_value(id)[w])
-            << "node " << id << " fault on " << fault.node;
+        ASSERT_EQ(view.golden(id)[w], golden[id][w]);
+        ASSERT_EQ(view.faulty(id)[w], faulty[id][w])
+            << "node " << id << " fault on " << fault.sites[0].node;
       }
     }
     ++visited;
   };
-  engine.run_batch(patterns, faults, check, /*num_threads=*/1);
+  engine.run_batch(patterns, faults, check);
   EXPECT_EQ(visited.load(), static_cast<int>(faults.size()));
 }
 
@@ -77,7 +87,7 @@ TEST(FaultEngineTest, RunBatchMatchesSimulator) {
 // between explicit 1 and the policy-resolved pool.
 TEST(FaultEngineTest, RunBatchDefaultThreadsFollowsPolicyAndStaysIdentical) {
   Network net = random_network(21);
-  std::vector<StuckFault> faults = enumerate_faults(net);
+  std::vector<FaultSpec> faults = all_stuck_at(net);
   PatternSet patterns = PatternSet::random(net.num_pis(), 4, 99);
   FaultSimEngine engine(net);
 
@@ -85,7 +95,7 @@ TEST(FaultEngineTest, RunBatchDefaultThreadsFollowsPolicyAndStaysIdentical) {
     std::vector<uint64_t> sums(faults.size(), 0);
     engine.run_batch(
         patterns, faults,
-        [&](int i, const StuckFault&, const FaultView& view) {
+        [&](int i, const FaultSpec&, const FaultView& view) {
           uint64_t h = 0;
           for (NodeId id = 0; id < net.num_nodes(); ++id) {
             for (int w = 0; w < view.num_words(); ++w) {
@@ -99,7 +109,7 @@ TEST(FaultEngineTest, RunBatchDefaultThreadsFollowsPolicyAndStaysIdentical) {
   };
 
   // 0 resolves through apx::thread_count() (APX_THREADS policy) — the
-  // same resolution CampaignOptions/DetectOptions use.
+  // same resolution CampaignOptions uses.
   const std::vector<uint64_t> policy = fingerprint(0);
   const std::vector<uint64_t> serial = fingerprint(1);
   const std::vector<uint64_t> four = fingerprint(4);
@@ -117,8 +127,8 @@ TEST(FaultEngineTest, UnexcitedFaultLeavesViewGolden) {
   net.add_po("z", z);
   FaultSimEngine engine(net);
   PatternSet patterns = PatternSet::random(1, 2, 3);
-  engine.run_batch(patterns, {{y, true}},
-                   [&](int, const StuckFault&, const FaultView& view) {
+  engine.run_batch(patterns, {FaultSpec::stuck_at(y, true)},
+                   [&](int, const FaultSpec&, const FaultView& view) {
                      EXPECT_FALSE(view.touched(y));
                      EXPECT_FALSE(view.touched(z));
                      for (int w = 0; w < view.num_words(); ++w) {
@@ -129,7 +139,7 @@ TEST(FaultEngineTest, UnexcitedFaultLeavesViewGolden) {
 
 TEST(FaultEngineTest, CampaignVisitsEverySampleExactlyOnce) {
   Network net = random_network(5);
-  std::vector<StuckFault> faults = enumerate_faults(net);
+  std::vector<FaultSpec> faults = all_stuck_at(net);
   FaultSimEngine engine(net);
   CampaignOptions opt;
   opt.num_fault_samples = 100;
@@ -142,7 +152,7 @@ TEST(FaultEngineTest, CampaignVisitsEverySampleExactlyOnce) {
   engine.run_campaign(
       opt,
       [&](uint64_t s) { return faults[SplitMix64(s).next() % faults.size()]; },
-      [&](int i, const StuckFault&, const FaultView&) { ++visits[i]; });
+      [&](int i, const FaultSpec&, const FaultView&) { ++visits[i]; });
   for (int v : visits) EXPECT_EQ(v, 1);
 }
 
@@ -192,52 +202,25 @@ TEST(FaultEngineTest, ReliabilityBitIdenticalAcrossThreadCounts) {
   EXPECT_DOUBLE_EQ(r1.max_ced_coverage, r4.max_ced_coverage);
 }
 
-TEST(FaultEngineTest, DetectFaultsDropsDetectedFaults) {
-  Network net = random_network(9);
-  std::vector<StuckFault> faults = enumerate_faults(net);
-  std::vector<NodeId> observe;
-  for (const auto& po : net.pos()) observe.push_back(po.driver);
-
-  FaultSimEngine engine(net);
-  DetectOptions opt;
-  opt.max_words = 32;
-  opt.words_per_batch = 4;
-  DetectionReport report = engine.detect_faults(faults, observe, opt);
-
-  ASSERT_EQ(report.detected.size(), faults.size());
-  const int num_batches = opt.max_words / opt.words_per_batch;
-  // Dropping: detected faults stop consuming batches, so the total work is
-  // below the no-dropping product whenever anything is detected early.
-  EXPECT_GT(report.num_detected(), 0);
-  EXPECT_LT(report.fault_batch_evals,
-            static_cast<int64_t>(faults.size()) * num_batches);
-  for (size_t i = 0; i < faults.size(); ++i) {
-    if (report.detected[i]) {
-      EXPECT_GE(report.detecting_batch[i], 0);
-      EXPECT_LT(report.detecting_batch[i], num_batches);
-    } else {
-      EXPECT_EQ(report.detecting_batch[i], -1);
-    }
-  }
-
-  // Thread count must not change what is detected or when.
-  DetectOptions threaded = opt;
-  threaded.num_threads = 4;
-  DetectionReport r4 = engine.detect_faults(faults, observe, threaded);
-  EXPECT_EQ(report.detected, r4.detected);
-  EXPECT_EQ(report.detecting_batch, r4.detecting_batch);
-}
-
 TEST(FaultEngineTest, CampaignRejectsOutOfRangeFaultSites) {
   Network net = random_network(3);
   FaultSimEngine engine(net);
   CampaignOptions opt;
   opt.num_fault_samples = 4;
-  EXPECT_THROW(
-      engine.run_campaign(
-          opt, [&](uint64_t) { return StuckFault{net.num_nodes(), false}; },
-          [](int, const StuckFault&, const FaultView&) {}),
-      std::logic_error);
+  PatternSet patterns = PatternSet::random(net.num_pis(), 1, 5);
+  auto ignore = [](int, const FaultSpec&, const FaultView&) {};
+  // Past the end, kNullNode, and every other negative id (an id below
+  // kNullNode would index before the value arena).
+  for (NodeId bad : {net.num_nodes(), kNullNode, NodeId{-2}}) {
+    const FaultSpec spec = FaultSpec::stuck_at(bad, false);
+    EXPECT_THROW(
+        engine.run_campaign(opt, [&](uint64_t) { return spec; }, ignore),
+        std::logic_error)
+        << "node " << bad;
+    EXPECT_THROW(engine.run_batch(patterns, {spec}, ignore), std::logic_error)
+        << "node " << bad;
+    EXPECT_FALSE(engine.is_live_site(bad, false)) << "node " << bad;
+  }
 }
 
 }  // namespace

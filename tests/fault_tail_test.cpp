@@ -50,8 +50,8 @@ TEST(FaultTailTest, PaddingBitsCannotExciteAFault) {
   FaultSimEngine engine(fx.net);
   int visits = 0;
   engine.run_batch(
-      patterns, {{fx.g, true}},
-      [&](int, const StuckFault&, const FaultView& v) {
+      patterns, {FaultSpec::stuck_at(fx.g, true)},
+      [&](int, const FaultSpec&, const FaultView& v) {
         ++visits;
         EXPECT_EQ(v.num_vectors(), kVectors);
         EXPECT_EQ(v.num_words(), 2);
@@ -69,8 +69,8 @@ TEST(FaultTailTest, PaddingBitsCannotExciteAFault) {
   // Same batch with every vector valid: the word-1 difference is now real
   // and must propagate.
   visits = 0;
-  engine.run_batch(patterns, {{fx.g, true}},
-                   [&](int, const StuckFault&, const FaultView& v) {
+  engine.run_batch(patterns, {FaultSpec::stuck_at(fx.g, true)},
+                   [&](int, const FaultSpec&, const FaultView& v) {
                      ++visits;
                      EXPECT_EQ(v.num_vectors(), 128);
                      EXPECT_EQ(v.word_mask(1), ~0ULL);
@@ -94,8 +94,8 @@ TEST(FaultTailTest, PaddingBitsCannotKeepAPropagatingEventAlive) {
 
   FaultSimEngine engine(fx.net);
   engine.run_batch(
-      patterns, {{fx.a, false}},
-      [&](int, const StuckFault&, const FaultView& v) {
+      patterns, {FaultSpec::stuck_at(fx.a, false)},
+      [&](int, const FaultSpec&, const FaultView& v) {
         ASSERT_TRUE(v.touched(fx.a));
         ASSERT_TRUE(v.touched(fx.g));  // word 0 detects for real
         // Detection accounting masked per word: word 1's padding-only
@@ -114,8 +114,8 @@ TEST(FaultTailTest, PaddingBitsCannotKeepAPropagatingEventAlive) {
   PatternSet word1(2, 1);
   word1.set_word(0, 0, ~0ULL);
   word1.set_word(1, 0, ~kTail);
-  engine.run_batch(word1, {{fx.a, false}},
-                   [&](int, const StuckFault&, const FaultView& v) {
+  engine.run_batch(word1, {FaultSpec::stuck_at(fx.a, false)},
+                   [&](int, const FaultSpec&, const FaultView& v) {
                      EXPECT_TRUE(v.touched(fx.a));
                      EXPECT_FALSE(v.touched(fx.g))
                          << "event alive on padding bits only";
@@ -223,8 +223,8 @@ TEST(FaultTailTest, RunBatchRejectsOversizedVectorCounts) {
   AndFixture fx;
   PatternSet patterns(2, 1);
   FaultSimEngine engine(fx.net);
-  EXPECT_THROW(engine.run_batch(patterns, {{fx.g, true}},
-                                [](int, const StuckFault&, const FaultView&) {},
+  EXPECT_THROW(engine.run_batch(patterns, {FaultSpec::stuck_at(fx.g, true)},
+                                [](int, const FaultSpec&, const FaultView&) {},
                                 1, 65),
                std::logic_error);
 }

@@ -100,5 +100,36 @@ TEST(LogicSharingTest, SharingTradesCoverage) {
   EXPECT_LE(cov_shared, cov_unshared + 0.05);
 }
 
+// Exact results recorded from the serial Simulator::inject criticality
+// estimate: the engine-backed estimate must pick the same merges at every
+// error-mass budget.
+TEST(LogicSharingPinTest, MergesReproduceRecordedCounts) {
+  const double budgets[] = {0.05, 0.10, 0.25, 1.0};
+  const int merged[] = {6, 11, 19, 35};
+  const int area_after[] = {29, 24, 16, 0};
+  for (int k = 0; k < 4; ++k) {
+    CedDesign ced = make_design(0.05, nullptr, false);
+    SharingOptions opt;
+    opt.max_error_mass = budgets[k];
+    SharingReport rep = apply_logic_sharing(ced, opt);
+    EXPECT_EQ(rep.merged_nodes, merged[k]) << "budget " << budgets[k];
+    EXPECT_EQ(rep.checkgen_area_after, area_after[k])
+        << "budget " << budgets[k];
+  }
+  Network mapped = technology_map(quick_synthesis(make_benchmark("c17")));
+  std::vector<ApproxDirection> dirs(mapped.num_pos(),
+                                    ApproxDirection::kZeroApprox);
+  for (double budget : {0.10, 0.30}) {
+    CedDesign ced = build_ced_design(mapped, mapped, dirs);
+    SharingOptions opt;
+    opt.max_error_mass = budget;
+    SharingReport rep = apply_logic_sharing(ced, opt);
+    EXPECT_EQ(rep.merged_nodes, budget < 0.2 ? 2 : 6)
+        << "c17 budget " << budget;
+    EXPECT_EQ(rep.checkgen_area_after, budget < 0.2 ? 13 : 9)
+        << "c17 budget " << budget;
+  }
+}
+
 }  // namespace
 }  // namespace apx

@@ -6,6 +6,7 @@
 #include "core/approx_synthesis.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/optimize.hpp"
+#include "sim/fault_engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace apx {
@@ -44,17 +45,22 @@ TEST(MaskingTest, PerfectCheckFunctionMasksAllProtectedErrors) {
   MaskingDesign d =
       build_masking_design(mapped, mapped, {ApproxDirection::kZeroApprox});
 
-  Simulator sim(d.ced.design);
-  sim.run(PatternSet::exhaustive(3));
   NodeId y = d.ced.functional_outputs[0];
   NodeId m = d.masked_outputs[0];
+  std::vector<FaultSpec> faults;
   for (NodeId site : d.ced.functional_nodes) {
-    sim.inject({site, true});  // stuck-at-1 creates 0->1 errors
-    uint64_t golden = sim.value(y)[0];
-    uint64_t masked_err = (golden ^ sim.faulty_value(m)[0]) & ~golden;
-    EXPECT_EQ(masked_err & 0xFF, 0u) << "unmasked 0->1 error at site "
-                                     << site;
+    // Stuck-at-1 creates 0->1 errors.
+    faults.push_back(FaultSpec::stuck_at(site, true));
   }
+  FaultSimEngine engine(d.ced.design);
+  engine.run_batch(
+      PatternSet::exhaustive(3), faults,
+      [&](int, const FaultSpec& f, const FaultView& v) {
+        uint64_t golden = v.golden(y)[0];
+        uint64_t masked_err = (golden ^ v.faulty(m)[0]) & ~golden;
+        EXPECT_EQ(masked_err & 0xFF, 0u)
+            << "unmasked 0->1 error at site " << f.sites[0].node;
+      });
 }
 
 TEST(MaskingTest, SynthesizedCheckerReducesErrorRate) {
@@ -91,6 +97,44 @@ TEST(MaskingTest, MaskedOutputsAreProperPos) {
   }
   EXPECT_EQ(masked_pos, net.num_pos());
   d.ced.design.check();
+}
+
+TEST(MaskingTest, RejectsNonPositiveWordCounts) {
+  Network net = make_benchmark("c17");
+  std::vector<ApproxDirection> dirs(net.num_pos(),
+                                    ApproxDirection::kZeroApprox);
+  MaskingDesign d = perfect_masking_design(dirs, net);
+  for (int words : {0, -1}) {
+    CoverageOptions copt;
+    copt.words_per_fault = words;
+    EXPECT_THROW(evaluate_masking(d, copt), std::invalid_argument)
+        << "words_per_fault " << words;
+  }
+}
+
+// Exact counts recorded from the serial Simulator::inject implementation:
+// the engine-backed evaluation must reproduce them bit for bit (same draws
+// per sample: site, polarity, pattern seed).
+TEST(MaskingPinTest, RawAndMaskedErrorsReproduceRecordedCounts) {
+  Network net = make_benchmark("cmp4");
+  std::vector<ApproxDirection> dirs(net.num_pos(),
+                                    ApproxDirection::kZeroApprox);
+  dirs[1] = ApproxDirection::kOneApprox;
+  MaskingDesign d = perfect_masking_design(dirs, net);
+  CoverageOptions copt;
+  copt.num_fault_samples = 300;
+  copt.words_per_fault = 3;
+  MaskingResult mr = evaluate_masking(d, copt);
+  EXPECT_EQ(mr.runs, 57600);
+  EXPECT_EQ(mr.raw_errors, 9410);
+  EXPECT_EQ(mr.masked_errors, 4417);
+
+  copt.seed = 0xC0FFEE;
+  copt.words_per_fault = 1;
+  MaskingResult mr2 = evaluate_masking(d, copt);
+  EXPECT_EQ(mr2.runs, 19200);
+  EXPECT_EQ(mr2.raw_errors, 3320);
+  EXPECT_EQ(mr2.masked_errors, 1839);
 }
 
 }  // namespace

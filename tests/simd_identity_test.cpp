@@ -11,6 +11,7 @@
 // the env-var dispatch path is exercised too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <optional>
 #include <string>
@@ -22,6 +23,7 @@
 #include "mapping/mapper.hpp"
 #include "mapping/optimize.hpp"
 #include "network/bench_format.hpp"
+#include "reference_sim.hpp"
 #include "sim/fault_engine.hpp"
 #include "sim/kernels.hpp"
 #include "sim/simulator.hpp"
@@ -45,17 +47,18 @@ class SimdIdentityTest : public ::testing::Test {
   void TearDown() override { simd::set_tier(simd::best_supported_tier()); }
 };
 
-// Full golden + faulty value planes of a Simulator run, copied out of the
-// arenas word by word so the comparison is content-based (byte identity of
-// every node row, including sub-lane tails at odd word counts).
+// Full golden + faulty value planes of one injected fault, copied out of
+// the engine's arenas word by word so the comparison is content-based (byte
+// identity of every node row, including sub-lane tails at odd word counts).
+// Each plane is also checked against the brute-force reference simulation
+// at the same tier.
 struct Planes {
-  std::vector<std::vector<uint64_t>> golden;
-  std::vector<std::vector<uint64_t>> faulty;
+  Plane golden;
+  Plane faulty;
 };
 
 Planes capture_planes(const Network& net, int words, uint64_t seed) {
-  Simulator sim(net);
-  sim.run(PatternSet::random(net.num_pis(), words, seed));
+  const PatternSet patterns = PatternSet::random(net.num_pis(), words, seed);
   // A mid-circuit fault site with real fanout: the last logic node's first
   // fanin (deterministic for a fixed benchmark).
   NodeId site = kNullNode;
@@ -63,14 +66,20 @@ Planes capture_planes(const Network& net, int words, uint64_t seed) {
     if (net.node(id).kind == NodeKind::kLogic) site = id;
   }
   if (!net.node(site).fanins.empty()) site = net.node(site).fanins[0];
-  sim.inject({site, true});
+  const FaultSpec spec = FaultSpec::stuck_at(site, true);
   Planes p;
-  for (NodeId id = 0; id < net.num_nodes(); ++id) {
-    WordSpan g = sim.value(id);
-    WordSpan f = sim.faulty_value(id);
-    p.golden.emplace_back(g.begin(), g.end());
-    p.faulty.emplace_back(f.begin(), f.end());
-  }
+  FaultSimEngine engine(net);
+  engine.run_batch(patterns, {spec},
+                   [&](int, const FaultSpec&, const FaultView& v) {
+                     for (NodeId id = 0; id < net.num_nodes(); ++id) {
+                       p.golden.emplace_back(v.golden(id),
+                                             v.golden(id) + words);
+                       p.faulty.emplace_back(v.faulty(id),
+                                             v.faulty(id) + words);
+                     }
+                   });
+  EXPECT_EQ(p.golden, reference_plane(net, patterns, nullptr, nullptr));
+  EXPECT_EQ(p.faulty, reference_plane(net, patterns, &spec, nullptr));
   return p;
 }
 
@@ -123,29 +132,35 @@ TEST_F(SimdIdentityTest, CoverageCountsAreIdenticalAcrossTiers) {
   }
 }
 
-TEST_F(SimdIdentityTest, DetectionReportsAreIdenticalAcrossTiers) {
+// Per-fault detection (some PO differs from golden) of every stuck-at
+// fault of a mapped adder, over an odd word count.
+TEST_F(SimdIdentityTest, FaultDetectionIsIdenticalAcrossTiers) {
   Network net = technology_map(quick_synthesis(make_benchmark("rca16")));
-  std::vector<StuckFault> faults = enumerate_faults(net);
-  std::vector<NodeId> observe;
-  for (int o = 0; o < net.num_pos(); ++o) observe.push_back(net.po(o).driver);
-  DetectOptions options;
-  options.max_words = 6;
-  options.words_per_batch = 3;
+  std::vector<FaultSpec> faults;
+  for (NodeId id = 0; id < net.num_nodes(); ++id) {
+    if (net.node(id).kind != NodeKind::kLogic) continue;
+    faults.push_back(FaultSpec::stuck_at(id, false));
+    faults.push_back(FaultSpec::stuck_at(id, true));
+  }
+  const PatternSet patterns = PatternSet::random(net.num_pis(), 3, 0xD7EC7);
 
-  std::optional<DetectionReport> reference;
+  std::optional<std::vector<uint8_t>> reference;
   for (simd::Tier tier : supported_tiers()) {
     simd::set_tier(tier);
     FaultSimEngine engine(net);
-    DetectionReport r = engine.detect_faults(faults, observe, options);
+    std::vector<uint8_t> detected(faults.size(), 0);
+    engine.run_batch(patterns, faults,
+                     [&](int i, const FaultSpec&, const FaultView& v) {
+                       for (int o = 0; o < net.num_pos(); ++o) {
+                         if (v.touched(net.po(o).driver)) detected[i] = 1;
+                       }
+                     });
     if (!reference) {
-      reference = std::move(r);
+      EXPECT_GT(std::count(detected.begin(), detected.end(), 1), 0);
+      reference = std::move(detected);
       continue;
     }
-    EXPECT_EQ(r.detected, reference->detected)
-        << "tier " << simd::tier_name(tier);
-    EXPECT_EQ(r.detecting_batch, reference->detecting_batch)
-        << "tier " << simd::tier_name(tier);
-    EXPECT_EQ(r.fault_batch_evals, reference->fault_batch_evals);
+    EXPECT_EQ(detected, *reference) << "tier " << simd::tier_name(tier);
   }
 }
 

@@ -5,9 +5,27 @@
 #include <random>
 
 #include "bdd/network_bdd.hpp"
+#include "sim/fault_engine.hpp"
 
 namespace apx {
 namespace {
+
+// Word 0 of every node's faulty row under each fault, from one run_batch
+// over the 8 exhaustive patterns of a 3-input network. Fault injection runs
+// through FaultSimEngine; Simulator is the fault-free reference here.
+std::vector<std::vector<uint64_t>> faulty_words(
+    FaultSimEngine& engine, const std::vector<FaultSpec>& faults) {
+  const Network& net = engine.network();
+  std::vector<std::vector<uint64_t>> out(faults.size());
+  engine.run_batch(PatternSet::exhaustive(3), faults,
+                   [&](int i, const FaultSpec&, const FaultView& v) {
+                     for (NodeId id = 0; id < net.num_nodes(); ++id) {
+                       out[i].push_back(v.faulty(id)[0]);
+                     }
+                   },
+                   /*num_threads=*/1);
+  return out;
+}
 
 Network adder_bit() {
   // Full adder: sum = a^b^cin, cout = ab + cin(a^b).
@@ -82,21 +100,22 @@ TEST(SimulatorTest, RandomSimulationMatchesBdd) {
   }
 }
 
-TEST(SimulatorTest, StuckFaultForcesValue) {
+TEST(SimulatorTest, StuckAtFaultForcesValue) {
   Network net = adder_bit();
   Simulator sim(net);
   sim.run(PatternSet::exhaustive(3));
+  FaultSimEngine engine(net);
   NodeId axb = *net.find_node("axb");
-  sim.inject({axb, true});
-  EXPECT_EQ(sim.faulty_value(axb)[0], ~0ULL);
+  const auto faulty = faulty_words(engine, {FaultSpec::stuck_at(axb, true)});
+  EXPECT_EQ(faulty[0][axb], ~0ULL);
   // Downstream cone (sum) must differ where a^b == 0 -> sum flips.
   NodeId sum = net.po(0).driver;
   uint64_t golden = sim.value(sum)[0];
-  uint64_t faulty = sim.faulty_value(sum)[0];
   for (uint64_t m = 0; m < 8; ++m) {
     int a = m & 1, b = (m >> 1) & 1, c = (m >> 2) & 1;
     bool expect_flip = (a ^ b) == 0;
-    EXPECT_EQ(((golden ^ faulty) >> m) & 1, static_cast<uint64_t>(expect_flip))
+    EXPECT_EQ(((golden ^ faulty[0][sum]) >> m) & 1,
+              static_cast<uint64_t>(expect_flip))
         << m << " c=" << c;
   }
 }
@@ -105,68 +124,48 @@ TEST(SimulatorTest, FaultOutsideConeLeavesGolden) {
   Network net = adder_bit();
   Simulator sim(net);
   sim.run(PatternSet::exhaustive(3));
+  FaultSimEngine engine(net);
   NodeId ab = *net.find_node("ab");
-  NodeId sum = net.po(0).driver;
-  sim.inject({ab, true});
+  const auto faulty = faulty_words(engine, {FaultSpec::stuck_at(ab, true)});
   // sum does not depend on ab.
-  EXPECT_EQ(sim.faulty_value(sum)[0], sim.value(sum)[0]);
+  NodeId sum = net.po(0).driver;
+  EXPECT_EQ(faulty[0][sum], sim.value(sum)[0]);
   // cout does.
   NodeId cout = net.po(1).driver;
-  EXPECT_NE(sim.faulty_value(cout)[0], sim.value(cout)[0]);
+  EXPECT_NE(faulty[0][cout], sim.value(cout)[0]);
 }
 
 TEST(SimulatorTest, SuccessiveInjectionsAreIndependent) {
   Network net = adder_bit();
   Simulator sim(net);
   sim.run(PatternSet::exhaustive(3));
+  FaultSimEngine engine(net);
   NodeId sum = net.po(0).driver;
-  sim.inject({*net.find_node("axb"), true});
-  uint64_t first = sim.faulty_value(sum)[0];
-  sim.inject({*net.find_node("ab"), true});
+  const FaultSpec axb = FaultSpec::stuck_at(*net.find_node("axb"), true);
+  const FaultSpec ab = FaultSpec::stuck_at(*net.find_node("ab"), true);
+  // One worker arena serves all three faults in order.
+  const auto faulty = faulty_words(engine, {axb, ab, axb});
   // After the second injection, sum must read golden again (ab not in its
   // cone), not the stale value from the first fault.
-  EXPECT_EQ(sim.faulty_value(sum)[0], sim.value(sum)[0]);
-  sim.inject({*net.find_node("axb"), true});
-  EXPECT_EQ(sim.faulty_value(sum)[0], first);
+  EXPECT_EQ(faulty[1][sum], sim.value(sum)[0]);
+  EXPECT_EQ(faulty[2][sum], faulty[0][sum]);
 }
 
 TEST(SimulatorTest, SecondRunInvalidatesPriorFaultValues) {
-  // Regression for the epoch logic: a re-run with same-shaped patterns must
-  // not leave stale faulty values readable (golden_ is reused in place).
+  // A second batch with same-shaped patterns reuses the worker arena in
+  // place; the first batch's faulty rows must not stay readable.
   Network net = adder_bit();
   Simulator sim(net);
   sim.run(PatternSet::exhaustive(3));
+  FaultSimEngine engine(net);
   NodeId axb = *net.find_node("axb");
-  sim.inject({axb, true});
-  ASSERT_NE(sim.faulty_value(axb)[0], sim.value(axb)[0]);
-  sim.run(PatternSet::exhaustive(3));  // same shape: no reallocation path
-  EXPECT_EQ(sim.faulty_value(axb)[0], sim.value(axb)[0]);
+  NodeId ab = *net.find_node("ab");
+  const auto first = faulty_words(engine, {FaultSpec::stuck_at(axb, true)});
+  ASSERT_NE(first[0][axb], sim.value(axb)[0]);
+  const auto second = faulty_words(engine, {FaultSpec::stuck_at(ab, true)});
+  EXPECT_EQ(second[0][axb], sim.value(axb)[0]);
   NodeId sum = net.po(0).driver;
-  EXPECT_EQ(sim.faulty_value(sum)[0], sim.value(sum)[0]);
-}
-
-TEST(SimulatorTest, InjectForcedValidatesArguments) {
-  Network net = adder_bit();
-  Simulator sim(net);
-  NodeId axb = *net.find_node("axb");
-  // Before run(): no pattern shape to validate against.
-  EXPECT_THROW(sim.inject_forced(axb, {}), std::logic_error);
-  sim.run(PatternSet::exhaustive(3));  // 1 word
-  EXPECT_THROW(sim.inject_forced(axb, std::vector<uint64_t>(2, 0)),
-               std::logic_error);
-  EXPECT_THROW(sim.inject_forced(kNullNode, std::vector<uint64_t>(1, 0)),
-               std::logic_error);
-  EXPECT_THROW(sim.inject_forced(net.num_nodes(), std::vector<uint64_t>(1, 0)),
-               std::logic_error);
-  // A well-formed call still works after the failed attempts.
-  sim.inject_forced(axb, std::vector<uint64_t>(1, ~0ULL));
-  EXPECT_EQ(sim.faulty_value(axb)[0], ~0ULL);
-}
-
-TEST(SimulatorTest, EnumerateFaultsCoversLogicNodesTwice) {
-  Network net = adder_bit();
-  auto faults = enumerate_faults(net);
-  EXPECT_EQ(faults.size(), 2u * net.num_logic_nodes());
+  EXPECT_EQ(second[0][sum], sim.value(sum)[0]);
 }
 
 TEST(SimulatorTest, RandomPatternsAreReproducible) {
