@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <random>
 #include <stdexcept>
+#include <string>
 
 #include "sim/fault_engine.hpp"
 #include "sim/kernels.hpp"
@@ -61,6 +62,24 @@ MaskingResult evaluate_masking(const MaskingDesign& design,
   if (options.words_per_fault <= 0) {
     throw std::invalid_argument(
         "evaluate_masking: words_per_fault must be positive");
+  }
+  // Only the sample count, word count, seed and thread cap steer this
+  // campaign; refuse settings it would silently ignore.
+  const CoverageOptions defaults;
+  auto reject = [](const char* field) {
+    throw std::invalid_argument(std::string("evaluate_masking: ") + field +
+                                " is not supported");
+  };
+  if (options.vectors_per_fault != defaults.vectors_per_fault) {
+    reject("vectors_per_fault");
+  }
+  if (options.model != defaults.model) reject("model");
+  if (options.sites_per_fault != defaults.sites_per_fault) {
+    reject("sites_per_fault");
+  }
+  if (options.burst_vectors != defaults.burst_vectors) reject("burst_vectors");
+  if (options.faults_per_batch != defaults.faults_per_batch) {
+    reject("faults_per_batch");
   }
   MaskingResult result;
   const CedDesign& ced = design.ced;

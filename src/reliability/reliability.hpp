@@ -58,8 +58,8 @@ struct ReliabilityReport {
 };
 
 struct ReliabilityOptions {
-  /// Number of (fault, 64-vector-word) batches to sample. Total runs =
-  /// batches * 64 * vectors_words... kept simple: runs = batches * 64.
+  /// Number of faults to sample. Total runs = num_fault_samples *
+  /// words_per_fault * 64.
   int num_fault_samples = 2000;
   /// Words of random vectors per sampled fault (64 vectors per word).
   int words_per_fault = 4;
@@ -81,7 +81,8 @@ struct ReliabilityOptions {
 };
 
 /// Runs Monte-Carlo fault injection on `net` and aggregates per-output
-/// error-direction statistics.
+/// error-direction statistics. One campaign: every sampled fault is
+/// simulated once (docs/ALGORITHM.md §1).
 ReliabilityReport analyze_reliability(const Network& net,
                                       const ReliabilityOptions& options = {});
 

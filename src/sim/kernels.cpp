@@ -195,11 +195,6 @@ void accumulate_xor_or_scalar(uint64_t* acc, const uint64_t* a,
   for (int w = 0; w < n; ++w) acc[w] |= a[w] ^ b[w];
 }
 
-void accumulate_andnot_or_scalar(uint64_t* acc, const uint64_t* a,
-                                 const uint64_t* b, int n) {
-  for (int w = 0; w < n; ++w) acc[w] |= ~a[w] & b[w];
-}
-
 bool rows_differ_scalar(const uint64_t* a, const uint64_t* b, int num_words,
                         uint64_t tail_mask) {
   if (num_words <= 0) return false;
@@ -321,19 +316,6 @@ __attribute__((target("avx2"))) void accumulate_xor_or_avx2(uint64_t* acc,
   for (; w < n; ++w) acc[w] |= a[w] ^ b[w];
 }
 
-__attribute__((target("avx2"))) void accumulate_andnot_or_avx2(
-    uint64_t* acc, const uint64_t* a, const uint64_t* b, int n) {
-  int w = 0;
-  for (; w + 4 <= n; w += 4) {
-    __m256i v = _mm256_andnot_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w)));
-    __m256i* out = reinterpret_cast<__m256i*>(acc + w);
-    _mm256_storeu_si256(out, _mm256_or_si256(_mm256_loadu_si256(out), v));
-  }
-  for (; w < n; ++w) acc[w] |= ~a[w] & b[w];
-}
-
 __attribute__((target("avx2"))) bool rows_differ_avx2(const uint64_t* a,
                                                       const uint64_t* b,
                                                       int num_words,
@@ -364,23 +346,6 @@ __attribute__((target("avx512f"))) void accumulate_xor_or_avx512(
   }
   for (; w < n; ++w) acc[w] |= a[w] ^ b[w];
 }
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-
-__attribute__((target("avx512f"))) void accumulate_andnot_or_avx512(
-    uint64_t* acc, const uint64_t* a, const uint64_t* b, int n) {
-  int w = 0;
-  for (; w + 8 <= n; w += 8) {
-    __m512i v = _mm512_andnot_epi64(_mm512_loadu_si512(a + w),
-                                    _mm512_loadu_si512(b + w));
-    _mm512_storeu_si512(acc + w,
-                        _mm512_or_epi64(_mm512_loadu_si512(acc + w), v));
-  }
-  for (; w < n; ++w) acc[w] |= ~a[w] & b[w];
-}
-
-#pragma GCC diagnostic pop
 
 __attribute__((target("avx512f"))) bool rows_differ_avx512(const uint64_t* a,
                                                            const uint64_t* b,
@@ -425,35 +390,29 @@ struct Dispatch {
   Pop3Fn popcount_xor_and;
   Pop2Fn popcount_andnot;
   Acc2Fn accumulate_xor_or;
-  Acc2Fn accumulate_andnot_or;
 };
 
 const Dispatch kDispatchTable[3] = {
     {simd::Tier::kScalar, &eval_sop_scalar, &rows_differ_scalar,
      &popcount_words_scalar, &popcount_and_scalar, &popcount_xor_and_scalar,
-     &popcount_andnot_scalar, &accumulate_xor_or_scalar,
-     &accumulate_andnot_or_scalar},
+     &popcount_andnot_scalar, &accumulate_xor_or_scalar},
 #if APX_SIMD_X86
     {simd::Tier::kAvx2, &eval_sop_avx2, &rows_differ_avx2,
      &popcount_words_avx2, &popcount_and_avx2, &popcount_xor_and_avx2,
-     &popcount_andnot_avx2, &accumulate_xor_or_avx2,
-     &accumulate_andnot_or_avx2},
+     &popcount_andnot_avx2, &accumulate_xor_or_avx2},
     // The avx512 tier reuses the 256-bit popcount path (AVX-512F alone has
     // no byte shuffle/popcount; see popcnt256) but runs 512-bit lanes for
     // the combine/compare kernels.
     {simd::Tier::kAvx512, &eval_sop_avx512, &rows_differ_avx512,
      &popcount_words_avx2, &popcount_and_avx2, &popcount_xor_and_avx2,
-     &popcount_andnot_avx2, &accumulate_xor_or_avx512,
-     &accumulate_andnot_or_avx512},
+     &popcount_andnot_avx2, &accumulate_xor_or_avx512},
 #else
     {simd::Tier::kAvx2, &eval_sop_scalar, &rows_differ_scalar,
      &popcount_words_scalar, &popcount_and_scalar, &popcount_xor_and_scalar,
-     &popcount_andnot_scalar, &accumulate_xor_or_scalar,
-     &accumulate_andnot_or_scalar},
+     &popcount_andnot_scalar, &accumulate_xor_or_scalar},
     {simd::Tier::kAvx512, &eval_sop_scalar, &rows_differ_scalar,
      &popcount_words_scalar, &popcount_and_scalar, &popcount_xor_and_scalar,
-     &popcount_andnot_scalar, &accumulate_xor_or_scalar,
-     &accumulate_andnot_or_scalar},
+     &popcount_andnot_scalar, &accumulate_xor_or_scalar},
 #endif
 };
 
@@ -614,11 +573,6 @@ int64_t popcount_andnot(const uint64_t* a, const uint64_t* b, int num_words,
 void accumulate_xor_or(uint64_t* acc, const uint64_t* a, const uint64_t* b,
                        int num_words) {
   active_dispatch().accumulate_xor_or(acc, a, b, num_words);
-}
-
-void accumulate_andnot_or(uint64_t* acc, const uint64_t* a, const uint64_t* b,
-                          int num_words) {
-  active_dispatch().accumulate_andnot_or(acc, a, b, num_words);
 }
 
 }  // namespace apx

@@ -107,8 +107,4 @@ int64_t popcount_andnot(const uint64_t* a, const uint64_t* b, int num_words,
 void accumulate_xor_or(uint64_t* acc, const uint64_t* a, const uint64_t* b,
                        int num_words);
 
-/// acc[w] |= ~a[w] & b[w] for all words.
-void accumulate_andnot_or(uint64_t* acc, const uint64_t* a, const uint64_t* b,
-                          int num_words);
-
 }  // namespace apx

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "benchmarks/benchmarks.hpp"
 #include "core/approx_synthesis.hpp"
 #include "mapping/mapper.hpp"
@@ -110,6 +113,53 @@ TEST(MaskingTest, RejectsNonPositiveWordCounts) {
     EXPECT_THROW(evaluate_masking(d, copt), std::invalid_argument)
         << "words_per_fault " << words;
   }
+}
+
+// evaluate_masking reads only the sample count, word count, seed and thread
+// cap; each field it would ignore is refused by name.
+void expect_rejected(void (*set)(CoverageOptions&), const std::string& field) {
+  Network net = make_benchmark("c17");
+  std::vector<ApproxDirection> dirs(net.num_pos(),
+                                    ApproxDirection::kZeroApprox);
+  MaskingDesign d = perfect_masking_design(dirs, net);
+  CoverageOptions copt;
+  copt.num_fault_samples = 4;
+  set(copt);
+  try {
+    evaluate_masking(d, copt);
+    ADD_FAILURE() << field << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(MaskingTest, RejectsVectorsPerFault) {
+  expect_rejected([](CoverageOptions& o) { o.vectors_per_fault = 100; },
+                  "vectors_per_fault");
+}
+
+TEST(MaskingTest, RejectsNonSingleStuckAtModel) {
+  expect_rejected([](CoverageOptions& o) { o.model = FaultModel::kMultiStuckAt; },
+                  "model");
+  expect_rejected(
+      [](CoverageOptions& o) { o.model = FaultModel::kTransientBurst; },
+      "model");
+}
+
+TEST(MaskingTest, RejectsSitesPerFault) {
+  expect_rejected([](CoverageOptions& o) { o.sites_per_fault = 3; },
+                  "sites_per_fault");
+}
+
+TEST(MaskingTest, RejectsBurstVectors) {
+  expect_rejected([](CoverageOptions& o) { o.burst_vectors = 8; },
+                  "burst_vectors");
+}
+
+TEST(MaskingTest, RejectsFaultsPerBatch) {
+  expect_rejected([](CoverageOptions& o) { o.faults_per_batch = 16; },
+                  "faults_per_batch");
 }
 
 // Exact counts recorded from the serial Simulator::inject implementation:

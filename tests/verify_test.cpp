@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/trace.hpp"
 #include "network/ordering.hpp"
 #include "sim/simulator.hpp"
 
@@ -473,6 +474,81 @@ TEST(VerifyOracleTest, PercentageSamplesWhenOriginalOverflows) {
   EXPECT_EQ(sampled,
             approximation_percentage(net, approx, 0, dir, /*bdd_budget=*/4));
   EXPECT_NE(sampled, kThreeOfFourTriples);
+}
+
+// Parity of `width` PIs, as a chain (`tree` false) or a balanced tree.
+Network parity(int width, bool tree) {
+  Network net;
+  std::vector<NodeId> layer;
+  for (int i = 0; i < width; ++i) {
+    layer.push_back(net.add_pi("x" + std::to_string(i)));
+  }
+  while (layer.size() > 1) {
+    std::vector<NodeId> next;
+    if (tree) {
+      for (size_t i = 0; i + 1 < layer.size(); i += 2) {
+        next.push_back(net.add_xor(layer[i], layer[i + 1]));
+      }
+      if (layer.size() % 2 == 1) next.push_back(layer.back());
+    } else {
+      next.push_back(net.add_xor(layer[0], layer[1]));
+      next.insert(next.end(), layer.begin() + 2, layer.end());
+    }
+    layer.swap(next);
+  }
+  net.add_po("p", layer[0]);
+  return net;
+}
+
+TEST(VerifyOracleTest, ExhaustedSatQueryIsNotSolvedTwice) {
+  // G (a parity tree) equals F (a parity chain), so G => F holds, but
+  // refuting G & ~F takes the solver more than one conflict.
+  const Network net = parity(12, /*tree=*/false);
+  Network approx = parity(12, /*tree=*/true);
+  const ApproxDirection dir = ApproxDirection::kOneApprox;
+  ApproxOracle oracle(net, approx, /*bdd_budget=*/4);
+  ASSERT_FALSE(oracle.using_bdds());
+  oracle.set_sat_conflict_budget(1);
+
+  trace::reset();
+  trace::set_trace_enabled(true);
+  const trace::Counter& solves = trace::counter("sat.solves");
+  const trace::Counter& conflicts = trace::counter("sat.conflicts");
+  EXPECT_FALSE(oracle.verify(0, dir));  // budget exhausted
+  EXPECT_EQ(solves.value(), 1);
+  const int64_t spent = conflicts.value();
+  EXPECT_GT(spent, 0);
+
+  // The identical question on the unchanged network: same answer, no
+  // solver work.
+  EXPECT_FALSE(oracle.verify(0, dir));
+  EXPECT_TRUE(oracle.last_counterexample().empty());
+  EXPECT_EQ(solves.value(), 1);
+  EXPECT_EQ(conflicts.value(), spent);
+  EXPECT_EQ(oracle.oracle_stats().sat_queries, 2u);
+
+  // A different budget is a different question.
+  oracle.set_sat_conflict_budget(2);
+  EXPECT_FALSE(oracle.verify(0, dir));
+  EXPECT_EQ(solves.value(), 2);
+  EXPECT_GT(conflicts.value(), spent);
+
+  // So is the same question on a mutated network: rewriting a node with
+  // its own cover keeps G's function but moves the network's version.
+  const uint64_t version = approx.version();
+  const NodeId root = approx.po(0).driver;
+  approx.set_sop(root, approx.node(root).sop);
+  ASSERT_NE(approx.version(), version);
+  oracle.refresh_approx();
+  EXPECT_FALSE(oracle.verify(0, dir));
+  EXPECT_EQ(solves.value(), 3);
+
+  // Without the cap the implication is proven.
+  oracle.set_sat_conflict_budget(-1);
+  EXPECT_TRUE(oracle.verify(0, dir));
+  EXPECT_EQ(solves.value(), 4);
+  trace::set_trace_enabled(false);
+  trace::reset();
 }
 
 }  // namespace
