@@ -26,6 +26,7 @@
 #include "bench_util.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "core/pipeline.hpp"
+#include "core/task_pool.hpp"
 #include "network/blif.hpp"
 #include "network/network.hpp"
 #include "sat/encode.hpp"
@@ -159,7 +160,7 @@ CircuitRow run_circuit(const std::string& name) {
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_aig.json";
-  const int threads = bench_threads();
+  const int threads = thread_count();
 
   // ---- BLIF reader throughput ----
   std::printf("bench_aig: AIG quick-synthesis scale gates\n\n");

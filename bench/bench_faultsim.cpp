@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <numeric>
 #include <random>
 #include <string>
@@ -432,8 +433,20 @@ int main(int argc, char** argv) {
       model_rows.push_back(row);
     }
   }
-  std::printf("per-model determinism (threads x widths): %s\n",
-              models_identical ? "yes" : "NO");
+  // Exact duplication compares every output, so it must flag every
+  // erroneous run under every fault model.
+  bool duplication_exact = true;
+  for (const ModelRow& row : model_rows) {
+    if (std::strcmp(row.scheme, "duplication") == 0) {
+      duplication_exact = duplication_exact &&
+                          row.result.detected == row.result.erroneous;
+    }
+  }
+  std::printf("per-model determinism (threads x widths): %s   "
+              "%zu scheme x model rows   duplication detects every "
+              "erroneous run: %s\n",
+              models_identical ? "yes" : "NO", model_rows.size(),
+              duplication_exact ? "yes" : "NO");
 
   std::fprintf(f, "  \"circuit\": \"%s\",\n", circuit);
   std::fprintf(f, "  \"ced_nodes\": %d,\n", ced.design.num_nodes());
@@ -526,12 +539,14 @@ int main(int argc, char** argv) {
 
   // Fail loudly if the engine regresses below the 4x bar, determinism
   // breaks (threads, widths, the visitor accounting identity, or any
-  // per-fault-model thread/width replay), or the
-  // SIMD kernels miss their bars on vector-capable hosts (3x substrate
+  // per-fault-model thread/width replay), a scheme x model row goes
+  // missing, exact duplication misses an erroneous run under any model, or
+  // the SIMD kernels miss their bars on vector-capable hosts (3x substrate
   // evaluation, 2x visitor accounting), so CI can watch the perf
   // trajectory.
   bool ok = speedup >= 4.0 && threads_identical && widths_identical &&
-            visitor_identical && models_identical;
+            visitor_identical && models_identical && model_rows.size() == 9 &&
+            duplication_exact;
   if (simd_gate_enforced) ok = ok && simd_speedup >= 3.0;
   if (visitor_gate_enforced) ok = ok && visitor_speedup >= 2.0;
   return ok ? 0 : 1;

@@ -81,7 +81,6 @@ int main() {
         plain.result.mapped_original, target, pd_opt);
     CoverageOptions cov_opt;
     cov_opt.num_fault_samples = scaled(1500);
-    cov_opt.num_threads = bench_threads();
     CoverageResult pd_cov = evaluate_ced_coverage(pdup.ced, cov_opt);
     OverheadReport pd_over = measure_overheads(pdup.ced);
 

@@ -61,7 +61,6 @@ int main() {
     Network base_mapped = technology_map(optimized);
     ReliabilityOptions rel_opt;
     rel_opt.num_fault_samples = scaled(1500);
-    rel_opt.num_threads = bench_threads();
     ReliabilityReport rel = analyze_reliability(base_mapped, rel_opt);
     std::vector<ApproxDirection> dirs = choose_directions(rel);
     ApproxOptions aopt;
@@ -75,7 +74,6 @@ int main() {
       CedDesign ced = build_ced_design(mapped, checkgen, dirs);
       CoverageOptions copt;
       copt.num_fault_samples = scaled(1200);
-      copt.num_threads = bench_threads();
       row_cov[row].push_back(
           100.0 * evaluate_ced_coverage(ced, copt).coverage());
     }

@@ -31,24 +31,12 @@ inline int scaled(int base) {
   return static_cast<int>(base * effort_scale());
 }
 
-/// Fault-simulation worker threads: APXCED_THREADS=<n> pins the count,
-/// default 0 lets the engine use all hardware threads. Results are
-/// bit-identical either way.
-inline int bench_threads() {
-  const char* env = std::getenv("APXCED_THREADS");
-  if (env == nullptr) return 0;
-  int v = std::atoi(env);
-  return v > 0 ? v : 0;
-}
-
 /// Standard pipeline options at a given threshold with scaled budgets.
 inline PipelineOptions tuned_options(double threshold, bool sharing = false) {
   PipelineOptions opt;
   opt.approx.significance_threshold = threshold;
   opt.reliability.num_fault_samples = scaled(1500);
-  opt.reliability.num_threads = bench_threads();
   opt.coverage.num_fault_samples = scaled(1500);
-  opt.coverage.num_threads = bench_threads();
   opt.logic_sharing = sharing;
   return opt;
 }
@@ -84,8 +72,8 @@ inline TunedRun auto_tune(const Network& net, double lambda = 0.25,
 /// Host/run metadata block for every bench JSON artifact. A regressing
 /// snapshot produced on a small runner (where parallel speedup gates are
 /// advisory) must be distinguishable from a gated one, so each artifact
-/// records the physical core count, the thread-policy environment pins in
-/// effect, and the SIMD substrate actually dispatched at startup:
+/// records the physical core count, the APX_THREADS pin in effect, and the
+/// SIMD substrate actually dispatched at startup:
 /// `simd_width_bits` is the active kernel lane width (64 scalar / 256 AVX2
 /// / 512 AVX-512) and `simd_policy` records how it was chosen ("auto",
 /// an APX_SIMD pin, or a clamp like "avx512->avx2(unsupported)"). Emits
@@ -93,12 +81,10 @@ inline TunedRun auto_tune(const Network& net, double lambda = 0.25,
 /// their top-level fields.
 inline void write_host_metadata(std::FILE* f, const char* indent = "  ") {
   const char* apx_threads = std::getenv("APX_THREADS");
-  const char* ced_threads = std::getenv("APXCED_THREADS");
   std::fprintf(f, "%s\"host_cores\": %u,\n", indent,
                std::thread::hardware_concurrency());
-  std::fprintf(f, "%s\"thread_policy\": \"APX_THREADS=%s APXCED_THREADS=%s\",\n",
-               indent, apx_threads != nullptr ? apx_threads : "unset",
-               ced_threads != nullptr ? ced_threads : "unset");
+  std::fprintf(f, "%s\"thread_policy\": \"APX_THREADS=%s\",\n", indent,
+               apx_threads != nullptr ? apx_threads : "unset");
   std::fprintf(f, "%s\"simd_width_bits\": %d,\n", indent, simd::width_bits());
   std::fprintf(f, "%s\"simd_policy\": \"%s\",\n", indent, simd::policy());
 }

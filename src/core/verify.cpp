@@ -33,11 +33,10 @@ struct ApproxOracleState {
 };
 
 ApproxOracle::ApproxOracle(const Network& original, const Network& approx,
-                           size_t bdd_budget, RefreshMode mode)
+                           size_t bdd_budget)
     : original_(original),
       approx_(approx),
       budget_(bdd_budget),
-      mode_(mode),
       state_(std::make_unique<ApproxOracleState>()) {
   // The original network never mutates under the oracle, so its view is
   // pinned once here (cone_structurally_identical walks it per verify()).
@@ -62,8 +61,8 @@ ApproxOracle::~ApproxOracle() {
 }
 
 // Full rebuild: discards the SAT instance and the approx-side simulator
-// along with every BDD. The constructor and kFullRebuild mode come through
-// here; the incremental path only lands here after a structural mutation.
+// along with every BDD. The constructor comes through here; refresh_approx()
+// only lands here after a structural mutation.
 void ApproxOracle::build() {
   trace::Span span("oracle.build");
   ++stats_.full_rebuilds;
@@ -122,10 +121,6 @@ void ApproxOracle::build_bdds() {
 
 void ApproxOracle::refresh_approx() {
   trace::Span span("oracle.refresh");
-  if (mode_ == RefreshMode::kFullRebuild) {
-    build();
-    return;
-  }
   if (approx_.structure_version() > approx_synced_version_) {
     // Node ids / fanins / PO drivers moved: cone membership and the
     // cached orders are stale, so incremental repair doesn't apply.

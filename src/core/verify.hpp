@@ -44,15 +44,8 @@ struct ApproxOracleState;
 
 class ApproxOracle {
  public:
-  /// How refresh_approx() reconciles the oracle with a mutated network.
-  /// kFullRebuild reproduces the pre-incremental behaviour (rebuild every
-  /// BDD cone of both networks, discard the SAT instance) and exists for
-  /// the bench_verify baseline and differential tests.
-  enum class RefreshMode { kIncremental, kFullRebuild };
-
   ApproxOracle(const Network& original, const Network& approx,
-               size_t bdd_budget = 1u << 18,
-               RefreshMode mode = RefreshMode::kIncremental);
+               size_t bdd_budget = 1u << 18);
   ~ApproxOracle();
 
   /// Is PO `po` of the approx network a correct `direction`-approximation?
@@ -64,9 +57,9 @@ class ApproxOracle {
                            int fallback_words = 512);
 
   /// Brings the oracle up to date after the approx network was mutated.
-  /// Incremental mode re-derives only the cones downstream of the mutated
-  /// nodes (O(changed cone) instead of O(both networks)); structural
-  /// mutations (Network::structure_version()) force a full rebuild.
+  /// Re-derives only the cones downstream of the mutated nodes (O(changed
+  /// cone) instead of O(both networks)); structural mutations
+  /// (Network::structure_version()) force a full rebuild.
   void refresh_approx();
 
   /// When the last verify() returned false via the SAT path, this holds the
@@ -128,7 +121,6 @@ class ApproxOracle {
   const Network& original_;
   const Network& approx_;
   size_t budget_;
-  RefreshMode mode_;
   std::optional<BddManager> mgr_;
   std::vector<BddManager::Ref> orig_refs_;
   std::vector<BddManager::Ref> approx_refs_;

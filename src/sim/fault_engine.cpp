@@ -311,35 +311,16 @@ void FaultSimEngine::run_campaign(const CampaignOptions& options,
   if (samples <= 0) return;
   std::vector<FaultSpec> faults(samples);
   for (int i = 0; i < samples; ++i) {
-    const uint64_t sample_seed =
-        derive_seed(options.seed, static_cast<uint64_t>(i));
-    FaultSpec spec = sampler(sample_seed);
-    bool live = validate_spec(spec, vectors);
-    if (!live && options.dead_sites == DeadSitePolicy::kReject) {
+    faults[i] = sampler(derive_seed(options.seed, static_cast<uint64_t>(i)));
+    if (!validate_spec(faults[i], vectors)) {
       throw std::logic_error(
           "FaultSimEngine::run_campaign: sampler returned a dead fault site "
           "(sample " +
           std::to_string(i) +
           "): a same-polarity stuck-at on a constant or an unobservable "
           "node can never produce an erroneous run; fix the sampler's site "
-          "list or pick a DeadSitePolicy");
+          "list");
     }
-    if (!live && options.dead_sites == DeadSitePolicy::kResample) {
-      // Deterministic redraw: depends only on the sample seed, so any
-      // thread count / batch geometry sees the same replacement spec.
-      for (int attempt = 1; !live && attempt <= 64; ++attempt) {
-        spec = sampler(derive_seed(sample_seed ^ kResampleStream,
-                                   static_cast<uint64_t>(attempt)));
-        live = validate_spec(spec, vectors);
-      }
-      if (!live) {
-        throw std::logic_error(
-            "FaultSimEngine::run_campaign: 64 consecutive dead redraws "
-            "(sample " +
-            std::to_string(i) + "); the sampler's site list looks dead");
-      }
-    }
-    faults[i] = spec;
   }
   const int threads = resolve_thread_option(options.num_threads);
   const int per_batch = options.faults_per_batch;

@@ -92,23 +92,6 @@ struct FaultSpec {
   void add(const FaultSite& site);
 };
 
-/// What run_campaign does when a sampler returns a dead site — a stuck-at
-/// that can never propagate: same-polarity stuck-at on a kConst0/kConst1
-/// node, or a site with no fanouts that drives no PO. Silently simulating
-/// such samples wastes campaign budget and quietly deflates error rates.
-enum class DeadSitePolicy {
-  /// Throw std::logic_error naming the sample (default: samplers are
-  /// expected to draw from live gate-level sites; see the Sampler docs).
-  kReject,
-  /// Re-invoke the sampler with deterministically re-derived seeds until a
-  /// live spec appears (bit-identical for any thread count; throws after
-  /// 64 dead draws in a row).
-  kResample,
-  /// Legacy behavior: simulate the dead site anyway (it contributes
-  /// golden-equal runs). For differential tests over arbitrary site lists.
-  kAllow,
-};
-
 /// Read-only view of one fault's effect on the current pattern batch,
 /// handed to campaign visitors. Pointers are into the engine's golden
 /// image and the calling worker's arena; valid only during the visit.
@@ -192,8 +175,6 @@ struct CampaignOptions {
   /// Length of the forced vector window under kTransientBurst (clamped to
   /// [1, vectors]; the window start is derived from the sample seed).
   int burst_vectors = 16;
-  /// Dead-site handling (see DeadSitePolicy).
-  DeadSitePolicy dead_sites = DeadSitePolicy::kReject;
 };
 
 /// Bit-parallel fault-simulation engine over a fixed network.
@@ -214,8 +195,8 @@ class FaultSimEngine {
   /// returned fault depends only on sample_seed, never on call order.
   /// Contract: samplers should return *live* sites — gate-level nodes that
   /// are observable (have fanouts or drive a PO) and, for constants, the
-  /// opposite polarity. Dead sites can never produce an erroneous run;
-  /// CampaignOptions::dead_sites picks what the engine does with them.
+  /// opposite polarity. Dead sites can never produce an erroneous run, so
+  /// run_campaign throws std::logic_error naming the first one.
   using Sampler = std::function<FaultSpec(uint64_t sample_seed)>;
   /// Called exactly once per sample with that fault's view of its batch.
   using Visitor = std::function<void(int sample_index, const FaultSpec& fault,
@@ -242,7 +223,7 @@ class FaultSimEngine {
 
   /// True when a stuck-at of this polarity at `node` can ever produce an
   /// erroneous run: the node is observable (fanouts or a PO driver) and is
-  /// not a constant of the same polarity. See DeadSitePolicy.
+  /// not a constant of the same polarity.
   bool is_live_site(NodeId node, bool stuck_value) const;
 
   /// Lower-level building block: one golden run on `patterns`, then every
@@ -263,10 +244,6 @@ class FaultSimEngine {
   /// Pattern-stream tag of the seed contract (exposed for reproducing a
   /// campaign's pattern batches outside the engine).
   static constexpr uint64_t kPatternStream = 0xBA7C85EEDULL;
-
-  /// Seed stream of DeadSitePolicy::kResample: dead sample i's redraw a
-  /// uses sampler(derive_seed(derive_seed(seed, i) ^ kResampleStream, a)).
-  static constexpr uint64_t kResampleStream = 0xDEAD517EULL;
 
  private:
   struct Worker;

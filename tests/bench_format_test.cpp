@@ -154,63 +154,6 @@ TEST(BenchJsonTest, PipelineArtifactSchema) {
   EXPECT_EQ(brackets, 0);
 }
 
-// Same structural schema check for the committed BENCH_bdd.json artifact
-// (written by bench/bench_bdd.cpp): the variable-ordering gates the CI run
-// enforces must be recorded as passing in the committed snapshot.
-TEST(BenchJsonTest, BddArtifactSchema) {
-  const std::string path = std::string(APX_REPO_ROOT) + "/BENCH_bdd.json";
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing committed artifact: " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-
-  const char* top_level[] = {
-      "\"bdd_budget\"",
-      "\"threads\"",
-      "\"circuits\"",
-      "\"circuits_with_2x_reduction\"",
-      "\"sift_peak_le_natural_all\"",
-      "\"fallbacks\"",
-      "\"orderings_bit_identical\"",
-      "\"parallel_bit_identical\"",
-      "\"host_cores\"",
-      "\"thread_policy\"",
-      "\"simd_width_bits\"",
-      "\"simd_policy\"",
-  };
-  for (const char* key : top_level) {
-    EXPECT_NE(text.find(key), std::string::npos) << "missing key " << key;
-  }
-  const char* per_row[] = {
-      "\"name\"",          "\"pis\"",
-      "\"pos\"",           "\"gates\"",
-      "\"natural\"",       "\"static\"",
-      "\"static_sift\"",   "\"peak_nodes\"",
-      "\"final_nodes\"",   "\"build_seconds\"",
-      "\"fallbacks\"",
-      "\"reorder_runs\"",  "\"reorder_time_ms\"",
-      "\"avg_probe_length\"", "\"peak_reduction_vs_natural\"",
-      "\"results_bit_identical\"",
-  };
-  for (const char* key : per_row) {
-    EXPECT_NE(text.find(key), std::string::npos) << "missing key " << key;
-  }
-
-  // The committed snapshot must show every ordering gate green.
-  EXPECT_NE(text.find("\"sift_peak_le_natural_all\": true"), std::string::npos);
-  EXPECT_NE(text.find("\"orderings_bit_identical\": true"), std::string::npos);
-  EXPECT_NE(text.find("\"parallel_bit_identical\": true"), std::string::npos);
-
-  int braces = 0, brackets = 0;
-  for (char c : text) {
-    braces += (c == '{') - (c == '}');
-    brackets += (c == '[') - (c == ']');
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
-}
-
 // Same structural schema check for the committed BENCH_faultsim.json
 // artifact (written by bench/bench_faultsim.cpp): the thread-scaling rows,
 // the per-SIMD-width rows, and both bit-identity claims (any thread count x

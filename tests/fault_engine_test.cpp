@@ -145,9 +145,12 @@ TEST(FaultEngineTest, CampaignVisitsEverySampleExactlyOnce) {
   opt.num_fault_samples = 100;
   opt.faults_per_batch = 16;
   opt.num_threads = 4;
-  // random_network leaves some gates with no fanout and no PO — legitimate
-  // here, the test only counts visits. kAllow keeps them simulatable.
-  opt.dead_sites = DeadSitePolicy::kAllow;
+  // random_network leaves some gates with no fanout and no PO; a campaign
+  // rejects those, so draw only live stuck-ats.
+  std::erase_if(faults, [&](const FaultSpec& f) {
+    return !engine.is_live_site(f.sites[0].node, f.sites[0].stuck_value);
+  });
+  ASSERT_FALSE(faults.empty());
   std::vector<int> visits(opt.num_fault_samples, 0);
   engine.run_campaign(
       opt,

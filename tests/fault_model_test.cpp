@@ -268,7 +268,7 @@ TEST(FaultModelTest, PartialDuplicationSelectionDeterministicUnderModels) {
   EXPECT_FALSE(r1.duplicated_pos.empty());
 }
 
-// ---- dead-site policy -----------------------------------------------------
+// ---- dead sites ------------------------------------------------------------
 
 TEST(FaultModelTest, CampaignRejectsConstantSiteOfSamePolarity) {
   DeadSiteFixture fx;
@@ -297,44 +297,16 @@ TEST(FaultModelTest, CampaignRejectsUnconnectedSite) {
           [](int, const FaultSpec&, const FaultView&) {}),
       std::logic_error);
 
-  // kAllow restores the legacy behavior: the dead sample simulates (and
-  // trivially stays golden at the PO drivers).
-  opt.dead_sites = DeadSitePolicy::kAllow;
+  // An explicit fault list is the caller's: run_batch simulates the dead
+  // site, which trivially stays golden at the PO driver.
   int visits = 0;
-  engine.run_campaign(
-      opt, [&](uint64_t) { return FaultSpec::stuck_at(fx.orphan, true); },
-      [&](int, const FaultSpec&, const FaultView& v) {
-        ++visits;
-        EXPECT_FALSE(v.touched(fx.g));
-      });
-  EXPECT_EQ(visits, 4);
-}
-
-TEST(FaultModelTest, CampaignResamplesDeadSitesDeterministically) {
-  DeadSiteFixture fx;
-  FaultSimEngine engine(fx.net);
-  CampaignOptions opt;
-  opt.num_fault_samples = 64;
-  opt.num_threads = 1;
-  opt.dead_sites = DeadSitePolicy::kResample;
-  // Pure-but-half-dead sampler: even seeds draw the orphan.
-  auto sampler = [&](uint64_t s) {
-    return FaultSpec::stuck_at((s & 1) ? fx.g : fx.orphan, true);
-  };
-  auto run = [&](int threads) {
-    CampaignOptions o = opt;
-    o.num_threads = threads;
-    std::vector<NodeId> drawn(o.num_fault_samples, kNullNode);
-    engine.run_campaign(o, sampler,
-                        [&](int i, const FaultSpec& f, const FaultView&) {
-                          drawn[i] = f.sites[0].node;
-                        });
-    return drawn;
-  };
-  const std::vector<NodeId> a = run(1);
-  for (NodeId n : a) EXPECT_EQ(n, fx.g);  // every dead draw was replaced
-  EXPECT_EQ(a, run(1));                   // replay-deterministic
-  EXPECT_EQ(a, run(4));                   // and thread-count independent
+  engine.run_batch(PatternSet::random(fx.net.num_pis(), 1, 1),
+                   {FaultSpec::stuck_at(fx.orphan, true)},
+                   [&](int, const FaultSpec&, const FaultView& v) {
+                     ++visits;
+                     EXPECT_FALSE(v.touched(fx.g));
+                   });
+  EXPECT_EQ(visits, 1);
 }
 
 // ---- validation -----------------------------------------------------------

@@ -87,8 +87,9 @@ TEST_F(SimdIdentityTest, SimulatorPlanesAreByteIdenticalAcrossTiers) {
   Network net = technology_map(quick_synthesis(make_benchmark("cmp8")));
   // Odd word counts force every kernel through its sub-lane tail: 1 and 3
   // never reach the AVX-512 8-word stride, 7 exercises 4-word + scalar
-  // remainders, 9 exercises the full stride plus both tails.
-  for (int words : {1, 3, 7, 9}) {
+  // remainders, 9 exercises the full stride plus both tails. 4 is the
+  // campaign geometry and 8 exactly one 512-bit step.
+  for (int words : {1, 3, 4, 7, 8, 9}) {
     std::optional<Planes> reference;
     for (simd::Tier tier : supported_tiers()) {
       simd::set_tier(tier);
@@ -195,7 +196,7 @@ TEST_F(SimdIdentityTest, SynthesisResultsAreIdenticalAcrossTiers) {
 TEST_F(SimdIdentityTest, PopcountKernelsAreIdenticalAcrossTiers) {
   // Random rows at word counts crossing every vector stride and tail, with
   // both a full and a partial final-word mask. Each tier must return the
-  // exact integer the scalar reference computes.
+  // exact integer (or verdict) the scalar reference computes.
   uint64_t s = 0xC0FFEE123456789ULL;
   auto next = [&s]() {
     s ^= s << 13;
@@ -203,7 +204,7 @@ TEST_F(SimdIdentityTest, PopcountKernelsAreIdenticalAcrossTiers) {
     s ^= s << 17;
     return s;
   };
-  for (int words : {1, 3, 7, 9, 16, 33}) {
+  for (int words : {1, 3, 4, 5, 7, 8, 9, 16, 33}) {
     std::vector<uint64_t> a(words), b(words), c(words);
     for (int w = 0; w < words; ++w) {
       a[w] = next();
@@ -244,6 +245,33 @@ TEST_F(SimdIdentityTest, PopcountKernelsAreIdenticalAcrossTiers) {
         accumulate_xor_or(acc_xor.data(), a.data(), b.data(), words);
         for (int w = 0; w < words; ++w) {
           EXPECT_EQ(acc_xor[w], a[w] ^ b[w]);
+        }
+
+        // rows_differ looks at every word but only the tail_mask bits of
+        // the final one: flipping a padding bit of the final word must go
+        // unseen, flipping its last valid bit (or a bit in any earlier
+        // word) must not.
+        const int last = words - 1;
+        const uint64_t top_valid = uint64_t{1} << (63 - std::countl_zero(tail));
+        std::vector<uint64_t> d = a;
+        EXPECT_FALSE(rows_differ(a.data(), d.data(), words, tail))
+            << "words=" << words << " tier " << simd::tier_name(tier);
+        if (tail != ~0ULL) {
+          d[last] ^= ~tail;
+          EXPECT_FALSE(rows_differ(a.data(), d.data(), words, tail))
+              << "padding, words=" << words << " tier "
+              << simd::tier_name(tier);
+        }
+        d[last] ^= top_valid;
+        EXPECT_TRUE(rows_differ(a.data(), d.data(), words, tail))
+            << "last valid bit, words=" << words << " tier "
+            << simd::tier_name(tier);
+        for (int w = 0; w < last; ++w) {
+          d = a;
+          d[w] ^= uint64_t{1} << (w % 64);
+          EXPECT_TRUE(rows_differ(a.data(), d.data(), words, tail))
+              << "word " << w << ", words=" << words << " tier "
+              << simd::tier_name(tier);
         }
       }
     }
