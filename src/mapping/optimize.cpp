@@ -67,7 +67,7 @@ struct StrashHash {
 
 }  // namespace
 
-Network optimize(const Network& net, const OptimizeOptions& options) {
+Network optimize(const Network& net) {
   Network result;
   result.set_name(net.name());
   // Resolution of each original node into the result network. A node maps
@@ -101,17 +101,15 @@ Network optimize(const Network& net, const OptimizeOptions& options) {
     for (NodeId f : n.fanins) fanins.push_back(map[f]);
     Sop sop = n.sop;
 
-    if (options.sweep_constants) {
-      // Substitute constant fanins.
-      for (int v = 0; v < sop.num_vars(); ++v) {
-        if (kind_of(fanins[v]) == NodeKind::kConst0) {
-          sop = sop.cofactor(v, false);
-        } else if (kind_of(fanins[v]) == NodeKind::kConst1) {
-          sop = sop.cofactor(v, true);
-        }
+    // Substitute constant fanins.
+    for (int v = 0; v < sop.num_vars(); ++v) {
+      if (kind_of(fanins[v]) == NodeKind::kConst0) {
+        sop = sop.cofactor(v, false);
+      } else if (kind_of(fanins[v]) == NodeKind::kConst1) {
+        sop = sop.cofactor(v, true);
       }
-      sop.make_scc_free();
     }
+    sop.make_scc_free();
 
     // Fuse duplicate fanins: if positions i and j reference the same node,
     // each cube's constraints on them intersect into position i.
@@ -146,7 +144,7 @@ Network optimize(const Network& net, const OptimizeOptions& options) {
       }
     }
 
-    if (options.minimize_sops && sop.num_vars() <= 12 && !sop.empty()) {
+    if (sop.num_vars() <= 12 && !sop.empty()) {
       sop = minimize(sop);
     }
 
@@ -161,11 +159,11 @@ Network optimize(const Network& net, const OptimizeOptions& options) {
     }
     compact_node(fanins, sop);
 
-    if (options.collapse_buffers && is_buffer_sop(sop)) {
+    if (is_buffer_sop(sop)) {
       map[id] = fanins[0];
       continue;
     }
-    if (options.collapse_buffers && is_inverter_sop(sop)) {
+    if (is_inverter_sop(sop)) {
       // INV(INV(x)) -> x.
       const Node& g = result.node(fanins[0]);
       if (g.kind == NodeKind::kLogic && is_inverter_sop(g.sop)) {
@@ -190,10 +188,6 @@ Network optimize(const Network& net, const OptimizeOptions& options) {
     result.add_po(po.name, map[po.driver]);
   }
   result.cleanup();
-  if (options.resubstitute) {
-    resubstitute(result);
-    result.cleanup();
-  }
   result.check();
   return result;
 }

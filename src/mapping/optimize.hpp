@@ -8,20 +8,8 @@
 
 namespace apx {
 
-struct OptimizeOptions {
-  bool sweep_constants = true;
-  bool collapse_buffers = true;
-  bool minimize_sops = true;
-  /// Collapse single-fanout nodes into their fanout when the merged SOP does
-  /// not grow past this many cubes (0 disables elimination).
-  int eliminate_cube_limit = 0;
-  /// Run algebraic resubstitution after the per-node pass: re-express nodes
-  /// using existing nodes as divisors when that saves literals.
-  bool resubstitute = false;
-};
-
 /// Returns an optimized copy of `net` (same PIs/POs).
-Network optimize(const Network& net, const OptimizeOptions& options = {});
+Network optimize(const Network& net);
 
 /// Logic-node count at or above which quick_synthesis switches from the
 /// SOP-level optimize() pass to the AIG substrate (structural hashing +

@@ -55,6 +55,7 @@ struct FaultSimEngine::Worker {
   uint32_t epoch = 0;
   std::vector<std::vector<NodeId>> buckets;  ///< event queue by level
   std::vector<const uint64_t*> fanin;        ///< scratch fanin pointers
+  int64_t node_evals = 0;  ///< cone nodes evaluated (faultsim.node_evals)
 };
 
 FaultSimEngine::FaultSimEngine(const Network& net)
@@ -225,6 +226,7 @@ void FaultSimEngine::simulate_fault(Worker& w, const FaultSpec& spec) const {
   const int max_level = view.max_level();
   for (int lvl = min_level + 1; lvl <= max_level; ++lvl) {
     auto& bucket = w.buckets[lvl];
+    w.node_evals += static_cast<int64_t>(bucket.size());
     for (NodeId id : bucket) {
       const Node& n = net_.node(id);
       w.fanin.clear();
@@ -281,17 +283,26 @@ void FaultSimEngine::parallel_for(
     int begin, int end, int threads,
     const std::function<void(Worker&, int, int)>& f) {
   if (end <= begin) return;
-  if (trace::enabled()) {
+  const bool traced = trace::enabled();
+  if (traced) {
     static trace::Counter& sims = trace::counter("faultsim.fault_sims");
     sims.add(end - begin);
   }
   threads = std::min(threads, end - begin);
-  for (int t = 0; t < threads; ++t) worker(t);  // size arenas up front
+  for (int t = 0; t < threads; ++t) {
+    worker(t).node_evals = 0;  // sizes the arenas up front
+  }
   TaskPool::instance().parallel_for_slotted(
       begin, end, threads, /*grain=*/1,
       [&](int slot, int64_t i) {
         f(*workers_[slot], slot, static_cast<int>(i));
       });
+  if (traced) {
+    static trace::Counter& evals = trace::counter("faultsim.node_evals");
+    int64_t total = 0;
+    for (int t = 0; t < threads; ++t) total += workers_[t]->node_evals;
+    evals.add(total);
+  }
 }
 
 void FaultSimEngine::run_campaign(const CampaignOptions& options,

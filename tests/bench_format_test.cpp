@@ -90,7 +90,8 @@ TEST(BenchFormatTest, RoundTripArbitraryNetwork) {
 // repo carries no JSON dependency, so the check is structural: every
 // required top-level and per-row key must appear, the braces/brackets of
 // the hand-rolled fprintf writer must balance, and the committed artifact
-// must record a bit-identical 1-vs-N run (the tentpole determinism claim).
+// must record a bit-identical 1-vs-N run. The speedup gate's verdict is
+// recorded, not required: the artifact is the host's truth either way.
 TEST(BenchJsonTest, PipelineArtifactSchema) {
   const std::string path = std::string(APX_REPO_ROOT) + "/BENCH_pipeline.json";
   std::ifstream in(path);
@@ -105,8 +106,7 @@ TEST(BenchJsonTest, PipelineArtifactSchema) {
       "\"serial_seconds\"",  "\"parallel_seconds\"",
       "\"speedup\"",         "\"speedup_gate\"",
       "\"gate_enforced\"",   "\"rows_bit_identical\"",
-      "\"profiled_identical\"", "\"phases\"",
-      "\"counters\"",        "\"rows\"",
+      "\"rows\"",
       // Host metadata: a `gate_enforced: false` artifact from a small
       // runner must say so in a machine-checkable way.
       "\"host_cores\"",      "\"thread_policy\"",
@@ -126,24 +126,6 @@ TEST(BenchJsonTest, PipelineArtifactSchema) {
 
   EXPECT_NE(text.find("\"rows_bit_identical\": true"), std::string::npos)
       << "committed artifact must record a bit-identical 1-vs-N run";
-  EXPECT_NE(text.find("\"profiled_identical\": true"), std::string::npos)
-      << "traced rerun must reproduce the rows bit-for-bit";
-
-  // Per-phase breakdown entries from the traced pass.
-  const char* per_phase[] = {
-      "\"name\"", "\"count\"", "\"total_ms\"", "\"self_ms\"",
-  };
-  for (const char* key : per_phase) {
-    EXPECT_NE(text.find(key), std::string::npos) << "missing key " << key;
-  }
-  EXPECT_NE(text.find("\"pipeline\""), std::string::npos)
-      << "phases must include the whole-pipeline span";
-
-  // Order-cache counters from the traced pass: the committed artifact must
-  // show the cache in play (the CI gate checks the values; here only their
-  // presence is structural).
-  EXPECT_NE(text.find("\"bdd.order_cache_hits\""), std::string::npos);
-  EXPECT_NE(text.find("\"bdd.order_cache_misses\""), std::string::npos);
 
   int braces = 0, brackets = 0;
   for (char c : text) {
@@ -155,9 +137,9 @@ TEST(BenchJsonTest, PipelineArtifactSchema) {
 }
 
 // Same structural schema check for the committed BENCH_faultsim.json
-// artifact (written by bench/bench_faultsim.cpp): the thread-scaling rows,
-// the per-SIMD-width rows, and both bit-identity claims (any thread count x
-// any SIMD width) must be present and recorded as holding.
+// artifact (written by bench/bench_faultsim.cpp): the per-SIMD-width rows
+// and their value-plane identity claim must be present and recorded as
+// holding.
 TEST(BenchJsonTest, FaultsimArtifactSchema) {
   const std::string path = std::string(APX_REPO_ROOT) + "/BENCH_faultsim.json";
   std::ifstream in(path);
@@ -170,20 +152,13 @@ TEST(BenchJsonTest, FaultsimArtifactSchema) {
       "\"circuit\"",
       "\"ced_nodes\"",
       "\"functional_gates\"",
-      "\"fault_samples\"",
-      "\"words_per_fault\"",
-      "\"vectors_per_fault\"",
-      "\"baseline_per_fault_rerun\"",
-      "\"engine\"",
       "\"simd\"",
       "\"sweep_words\"",
       "\"sweep_reps\"",
-      "\"speedup_single_thread\"",
       "\"simd_speedup\"",
       "\"simd_speedup_gate\"",
       "\"simd_gate_enforced\"",
       "\"widths_bit_identical\"",
-      "\"threads_bit_identical\"",
       "\"host_cores\"",
       "\"thread_policy\"",
       "\"simd_width_bits\"",
@@ -198,9 +173,6 @@ TEST(BenchJsonTest, FaultsimArtifactSchema) {
       "\"substrate_seconds\"",
       "\"substrate_patterns_per_sec\"",
       "\"plane_checksum\"",
-      "\"engine_seconds\"",
-      "\"engine_patterns_per_sec\"",
-      "\"coverage_pct\"",
   };
   for (const char* key : per_width) {
     EXPECT_NE(text.find(key), std::string::npos) << "missing key " << key;
@@ -208,40 +180,8 @@ TEST(BenchJsonTest, FaultsimArtifactSchema) {
   // The scalar row always exists (every host runs the portable kernel).
   EXPECT_NE(text.find("\"tier\": \"scalar\""), std::string::npos);
 
-  // Per-fault-model coverage rows: every CED scheme measured under every
-  // fault model, each with its own replayed thread/width identity bits.
-  const char* per_model[] = {
-      "\"fault_model_samples\"",
-      "\"fault_models\"",
-      "\"scheme\"",
-      "\"model\"",
-      "\"erroneous\"",
-      "\"detected\"",
-      "\"models_bit_identical\"",
-  };
-  for (const char* key : per_model) {
-    EXPECT_NE(text.find(key), std::string::npos) << "missing key " << key;
-  }
-  for (const char* scheme : {"approx_ced", "duplication", "parity"}) {
-    EXPECT_NE(text.find("\"scheme\": \"" + std::string(scheme) + "\""),
-              std::string::npos)
-        << "missing scheme row " << scheme;
-  }
-  for (const char* model :
-       {"single_stuck_at", "multi_stuck_at", "transient_burst"}) {
-    EXPECT_NE(text.find("\"model\": \"" + std::string(model) + "\""),
-              std::string::npos)
-        << "missing model row " << model;
-  }
-
-  // All determinism claims must hold in the committed snapshot.
-  EXPECT_NE(text.find("\"threads_bit_identical\": true"), std::string::npos)
-      << "committed artifact must record a bit-identical 1-vs-N thread run";
   EXPECT_NE(text.find("\"widths_bit_identical\": true"), std::string::npos)
       << "committed artifact must record bit-identical SIMD tiers";
-  EXPECT_NE(text.find("\"models_bit_identical\": true"), std::string::npos)
-      << "every fault-model row must replay bit-identically";
-  EXPECT_EQ(text.find("\"threads_bit_identical\": false"), std::string::npos);
   EXPECT_EQ(text.find("\"widths_bit_identical\": false"), std::string::npos);
 
   int braces = 0, brackets = 0;

@@ -7,6 +7,7 @@
 
 #include "benchmarks/benchmarks.hpp"
 #include "core/ced.hpp"
+#include "core/trace.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/optimize.hpp"
 #include "reference_sim.hpp"
@@ -185,6 +186,38 @@ TEST(FaultEngineTest, CoverageCountsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(r1.runs, r4.runs);
   EXPECT_EQ(r1.erroneous, r4.erroneous);
   EXPECT_EQ(r1.detected, r4.detected);
+}
+
+// The engine's work against the per-fault golden rerun it replaced,
+// counted in node evaluations: a rerun simulates every logic node once per
+// fault plus that fault's cone; the engine simulates every logic node once
+// per batch plus the same cones. A cone walk that evaluates every node, or
+// batches of one fault, falls below the 4x bar.
+TEST(FaultEngineTest, ConeWalkDoesFourTimesLessWorkThanPerFaultRerun) {
+  CedDesign ced = duplication_ced("dalu");
+  CoverageOptions options;
+  options.num_fault_samples = 1500;
+  options.words_per_fault = 4;
+  options.faults_per_batch = 64;
+
+  trace::reset();
+  trace::set_trace_enabled(true);
+  evaluate_ced_coverage(ced, options);
+  trace::set_trace_enabled(false);
+  const int64_t sims = trace::counter("faultsim.fault_sims").value();
+  const int64_t batches = trace::counter("faultsim.batches").value();
+  const int64_t evals = trace::counter("faultsim.node_evals").value();
+  trace::reset();
+
+  EXPECT_EQ(sims, 1500);
+  EXPECT_EQ(batches, 24);
+  EXPECT_GT(evals, 0);
+  const int64_t nodes = ced.design.num_logic_nodes();
+  const int64_t rerun = sims * nodes + evals;
+  const int64_t engine = batches * nodes + evals;
+  EXPECT_GE(rerun, 4 * engine)
+      << nodes << " logic nodes, " << evals << " cone evaluations: "
+      << static_cast<double>(rerun) / engine << "x";
 }
 
 TEST(FaultEngineTest, ReliabilityBitIdenticalAcrossThreadCounts) {

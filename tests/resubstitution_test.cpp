@@ -95,9 +95,9 @@ TEST(ResubstitutionTest, OptimizeOptionRunsIt) {
                           *Sop::parse(3, "11-\n1-1"), "f");
   net.add_po("d", d);
   net.add_po("f", f);
-  OptimizeOptions opt;
-  opt.resubstitute = true;
-  Network out = optimize(net, opt);
+  Network out = optimize(net);
+  resubstitute(out);
+  out.cleanup();
   EXPECT_EQ(check_po_equivalence(net, 1, out, 1), CheckResult::kHolds);
   EXPECT_LE(out.total_literals(), net.total_literals());
 }

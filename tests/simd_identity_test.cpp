@@ -13,13 +13,17 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "baselines/parity.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "core/approx_synthesis.hpp"
 #include "core/ced.hpp"
+#include "core/pipeline.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/optimize.hpp"
 #include "network/bench_format.hpp"
@@ -108,28 +112,62 @@ TEST_F(SimdIdentityTest, SimulatorPlanesAreByteIdenticalAcrossTiers) {
   }
 }
 
+// Coverage counts of every CED scheme under every fault model: the
+// threshold-0.1 approximate-logic CED, exact duplication and parity
+// prediction, each campaign replayed at 1 and 4 threads on every supported
+// tier. Duplication compares every output, so it must also flag every
+// erroneous run.
 TEST_F(SimdIdentityTest, CoverageCountsAreIdenticalAcrossTiers) {
-  Network mapped = technology_map(quick_synthesis(make_benchmark("cmp8")));
-  std::vector<ApproxDirection> dirs(mapped.num_pos(),
-                                    ApproxDirection::kZeroApprox);
-  CedDesign ced = build_ced_design(mapped, mapped, dirs);
-  CoverageOptions options;
-  options.num_fault_samples = 400;
-  options.words_per_fault = 3;  // odd count: kernels take their tail paths
+  const Network net = make_benchmark("cmp8");
+  const Network mapped = technology_map(quick_synthesis(net));
+  PipelineOptions pipeline;
+  pipeline.approx.significance_threshold = 0.1;
+  pipeline.reliability.num_fault_samples = 300;
+  pipeline.coverage.num_fault_samples = 300;
+  const PipelineResult approx = run_ced_pipeline(net, pipeline);
+  std::vector<int> all_pos(mapped.num_pos());
+  std::iota(all_pos.begin(), all_pos.end(), 0);
+  const CedDesign duplication = build_duplication_ced(mapped, mapped, all_pos);
+  const CedDesign parity = build_parity_ced(mapped);
+  const std::pair<const char*, const CedDesign*> schemes[] = {
+      {"approx_ced", &approx.ced},
+      {"duplication", &duplication},
+      {"parity", &parity},
+  };
 
-  std::optional<CoverageResult> reference;
-  for (simd::Tier tier : supported_tiers()) {
-    simd::set_tier(tier);
-    CoverageResult r = evaluate_ced_coverage(ced, options);
-    if (!reference) {
-      reference = r;
-      continue;
+  for (const auto& [scheme, ced] : schemes) {
+    for (FaultModel model :
+         {FaultModel::kSingleStuckAt, FaultModel::kMultiStuckAt,
+          FaultModel::kTransientBurst}) {
+      SCOPED_TRACE(std::string(scheme) + " / " + fault_model_name(model));
+      CoverageOptions options;
+      options.num_fault_samples = 400;
+      options.words_per_fault = 3;  // odd count: kernels take their tail paths
+      options.model = model;
+      std::optional<CoverageResult> reference;
+      for (simd::Tier tier : supported_tiers()) {
+        simd::set_tier(tier);
+        for (int threads : {1, 4}) {
+          options.num_threads = threads;
+          CoverageResult r = evaluate_ced_coverage(*ced, options);
+          if (!reference) {
+            reference = r;
+            continue;
+          }
+          EXPECT_EQ(r.runs, reference->runs);
+          EXPECT_EQ(r.erroneous, reference->erroneous)
+              << "tier " << simd::tier_name(tier) << ", " << threads
+              << " threads";
+          EXPECT_EQ(r.detected, reference->detected)
+              << "tier " << simd::tier_name(tier) << ", " << threads
+              << " threads";
+        }
+      }
+      EXPECT_GT(reference->erroneous, 0);
+      if (ced == &duplication) {
+        EXPECT_EQ(reference->detected, reference->erroneous);
+      }
     }
-    EXPECT_EQ(r.runs, reference->runs);
-    EXPECT_EQ(r.erroneous, reference->erroneous)
-        << "tier " << simd::tier_name(tier);
-    EXPECT_EQ(r.detected, reference->detected)
-        << "tier " << simd::tier_name(tier);
   }
 }
 
