@@ -27,6 +27,14 @@ uint64_t window_word_mask(int32_t start, int32_t len, int w) {
   return upto & ~((1ULL << a) - 1);
 }
 
+/// Reshapes `arena` to `rows x words` unless it already has that shape;
+/// returns true when it did (the plane is then zeroed).
+bool reshape(ValueArena& arena, int rows, int words) {
+  if (arena.rows() == rows && arena.words() == words) return false;
+  arena.reset(rows, words);
+  return true;
+}
+
 }  // namespace
 
 const char* fault_model_name(FaultModel model) {
@@ -45,10 +53,12 @@ void FaultSpec::add(const FaultSite& site) {
   sites[num_sites++] = site;
 }
 
-/// Per-thread scratch state: a faulty-value arena over the shared golden
-/// image plus the event queue of the level-by-level cone walk. Reused
-/// across faults and batches — no allocations on the injection path.
+/// Per-thread scratch state: a faulty-value arena plus the event queue of
+/// the level-by-level cone walk, and, in campaigns, the golden plane of the
+/// batch this worker is simulating. Reused across faults and batches — no
+/// allocations on the injection path.
 struct FaultSimEngine::Worker {
+  ValueArena golden;              ///< campaign batch's golden plane
   ValueArena values;              ///< faulty plane (one row per node)
   std::vector<uint32_t> valid;    ///< epoch at which values row is current
   std::vector<uint32_t> queued;   ///< epoch at which id was scheduled
@@ -112,16 +122,23 @@ bool FaultSimEngine::validate_spec(const FaultSpec& spec,
 
 FaultSimEngine::~FaultSimEngine() = default;
 
-void FaultSimEngine::run_golden(const PatternSet& patterns, int num_vectors) {
-  if (patterns.num_pis() != net_.num_pis()) {
-    throw std::logic_error("FaultSimEngine: PI count mismatch");
-  }
-  const int total = patterns.num_words() * 64;
+void FaultSimEngine::set_geometry(int num_words, int num_vectors) {
+  const int total = num_words * 64;
   if (num_vectors <= 0) num_vectors = total;
   if (num_vectors > total) {
     throw std::logic_error(
         "FaultSimEngine: num_vectors exceeds the pattern set");
   }
+  num_words_ = num_words;
+  num_vectors_ = num_vectors;
+  tail_mask_ = (num_vectors % 64) != 0
+                   ? (1ULL << (num_vectors % 64)) - 1
+                   : ~0ULL;
+}
+
+void FaultSimEngine::simulate_golden(
+    const PatternSet& patterns, ValueArena& golden,
+    std::vector<const uint64_t*>& fanin) const {
   trace::Span span("faultsim.golden");
   if (trace::enabled()) {
     static trace::Counter& batches = trace::counter("faultsim.batches");
@@ -129,23 +146,14 @@ void FaultSimEngine::run_golden(const PatternSet& patterns, int num_vectors) {
     batches.add(1);
     words.add(patterns.num_words());
   }
-  num_words_ = patterns.num_words();
-  num_vectors_ = num_vectors;
-  tail_mask_ = (num_vectors % 64) != 0
-                   ? (1ULL << (num_vectors % 64)) - 1
-                   : ~0ULL;
   const int W = num_words_;
-  if (golden_.rows() != net_.num_nodes() || golden_.words() != W) {
-    golden_.reset(net_.num_nodes(), W);
-  }
   for (int i = 0; i < net_.num_pis(); ++i) {
-    std::memcpy(golden_.row(net_.pis()[i]), patterns.column(i).data(),
+    std::memcpy(golden.row(net_.pis()[i]), patterns.column(i).data(),
                 sizeof(uint64_t) * W);
   }
-  std::vector<const uint64_t*> fanin;
   for (NodeId id : view_->topo()) {
     const Node& n = net_.node(id);
-    uint64_t* out = golden_.row(id);
+    uint64_t* out = golden.row(id);
     switch (n.kind) {
       case NodeKind::kPi:
         break;
@@ -157,8 +165,7 @@ void FaultSimEngine::run_golden(const PatternSet& patterns, int num_vectors) {
         break;
       case NodeKind::kLogic: {
         fanin.clear();
-        fanin.reserve(n.fanins.size());
-        for (NodeId f : n.fanins) fanin.push_back(golden_.row(f));
+        for (NodeId f : n.fanins) fanin.push_back(golden.row(f));
         eval_sop_words(n.sop, fanin.data(), W, out);
         break;
       }
@@ -169,7 +176,8 @@ void FaultSimEngine::run_golden(const PatternSet& patterns, int num_vectors) {
 // The one injection walk: seeds every site's row, then re-evaluates the
 // union of the sites' fanout cones level by level, dropping an event as
 // soon as a node's faulty row collapses back to golden.
-void FaultSimEngine::simulate_fault(Worker& w, const FaultSpec& spec) const {
+void FaultSimEngine::simulate_fault(Worker& w, const ValueArena& golden,
+                                    const FaultSpec& spec) const {
   const int W = num_words_;
   if (++w.epoch == 0) {
     // uint32 epoch wrapped: old marks would alias the fresh epoch.
@@ -203,7 +211,7 @@ void FaultSimEngine::simulate_fault(Worker& w, const FaultSpec& spec) const {
     const FaultSite& site = spec.sites[s];
     const uint64_t forced = site.stuck_value ? ~0ULL : 0ULL;
     uint64_t* fv = w.values.row(site.node);
-    const uint64_t* gv = golden_.row(site.node);
+    const uint64_t* gv = golden.row(site.node);
     if (!site.transient) {
       std::fill(fv, fv + W, forced);
     } else {
@@ -232,13 +240,13 @@ void FaultSimEngine::simulate_fault(Worker& w, const FaultSpec& spec) const {
       w.fanin.clear();
       for (NodeId f : n.fanins) {
         w.fanin.push_back(w.valid[f] == epoch ? w.values.row(f)
-                                              : golden_.row(f));
+                                              : golden.row(f));
       }
       uint64_t* out = w.values.row(id);
       eval_sop_words(n.sop, w.fanin.data(), W, out);
       // Faulty value collapsed back to golden on every valid pattern: the
       // event dies here (padding differences cannot keep it alive).
-      if (!rows_differ(out, golden_.row(id), W, tail_mask_)) continue;
+      if (!rows_differ(out, golden.row(id), W, tail_mask_)) continue;
       w.valid[id] = epoch;
       for (NodeId o : view.fanouts(id)) schedule(o);
     }
@@ -246,58 +254,50 @@ void FaultSimEngine::simulate_fault(Worker& w, const FaultSpec& spec) const {
   }
 }
 
-FaultView FaultSimEngine::view_of(const Worker& w, int slot) const {
+FaultView FaultSimEngine::view_of(const Worker& w, const ValueArena& golden,
+                                  int slot) const {
   FaultView v;
-  v.golden_ = golden_.row(0);
+  v.golden_ = golden.row(0);
   v.values_ = w.values.row(0);
   v.valid_ = w.valid.data();
   v.epoch_ = w.epoch;
   v.num_words_ = num_words_;
   v.num_vectors_ = num_vectors_;
-  v.stride_ = golden_.stride();
+  v.stride_ = golden.stride();
   v.tail_mask_ = tail_mask_;
   v.worker_slot_ = slot;
   return v;
 }
 
-FaultSimEngine::Worker& FaultSimEngine::worker(int index) {
-  while (static_cast<int>(workers_.size()) <= index) {
+void FaultSimEngine::prepare_workers(int threads, bool own_golden) {
+  while (static_cast<int>(workers_.size()) < threads) {
     workers_.push_back(std::make_unique<Worker>());
   }
-  Worker& w = *workers_[index];
-  if (w.values.rows() != net_.num_nodes() || w.values.words() != num_words_) {
-    w.values.reset(net_.num_nodes(), num_words_);
-    w.valid.assign(net_.num_nodes(), 0);
-    w.queued.assign(net_.num_nodes(), 0);
-    w.epoch = 0;
-    w.buckets.assign(view_->max_level() + 1, {});
-    w.fanin.clear();
+  const int nodes = net_.num_nodes();
+  for (int t = 0; t < threads; ++t) {
+    Worker& w = *workers_[t];
+    if (reshape(w.values, nodes, num_words_)) {
+      w.valid.assign(nodes, 0);
+      w.queued.assign(nodes, 0);
+      w.epoch = 0;
+      w.buckets.assign(view_->max_level() + 1, {});
+      w.fanin.clear();
+    }
+    if (own_golden) reshape(w.golden, nodes, num_words_);
+    w.node_evals = 0;
   }
-  return w;
 }
 
-// All fault-level parallelism rides the shared task pool: the engine never
-// spawns threads of its own, so nested use (e.g. a whole-pipeline task per
+// All parallelism rides the shared task pool: the engine never spawns
+// threads of its own, so nested use (e.g. a whole-pipeline task per
 // benchmark row, each running campaigns inside) shares one set of workers.
 void FaultSimEngine::parallel_for(
-    int begin, int end, int threads,
-    const std::function<void(Worker&, int, int)>& f) {
-  if (end <= begin) return;
-  const bool traced = trace::enabled();
-  if (traced) {
-    static trace::Counter& sims = trace::counter("faultsim.fault_sims");
-    sims.add(end - begin);
-  }
-  threads = std::min(threads, end - begin);
-  for (int t = 0; t < threads; ++t) {
-    worker(t).node_evals = 0;  // sizes the arenas up front
-  }
+    int count, int threads, const std::function<void(Worker&, int, int)>& f) {
   TaskPool::instance().parallel_for_slotted(
-      begin, end, threads, /*grain=*/1,
-      [&](int slot, int64_t i) {
+      0, count, threads, /*grain=*/1, [&](int slot, int64_t i) {
         f(*workers_[slot], slot, static_cast<int>(i));
       });
-  if (traced) {
+  if (trace::enabled()) {
     static trace::Counter& evals = trace::counter("faultsim.node_evals");
     int64_t total = 0;
     for (int t = 0; t < threads; ++t) total += workers_[t]->node_evals;
@@ -333,37 +333,60 @@ void FaultSimEngine::run_campaign(const CampaignOptions& options,
           "list");
     }
   }
-  const int threads = resolve_thread_option(options.num_threads);
+  if (trace::enabled()) {
+    static trace::Counter& sims = trace::counter("faultsim.fault_sims");
+    sims.add(samples);
+  }
+  set_geometry(words, vectors);
   const int per_batch = options.faults_per_batch;
   const int num_batches = (samples + per_batch - 1) / per_batch;
-  for (int b = 0; b < num_batches; ++b) {
-    PatternSet patterns = PatternSet::random(
+  const int threads =
+      std::min(resolve_thread_option(options.num_threads), num_batches);
+  prepare_workers(threads, /*own_golden=*/true);
+  // One pool task per pattern batch: the worker draws the batch's
+  // patterns, simulates golden into its own plane, then walks the batch's
+  // faults in sample order against it. Patterns and faults are pure in
+  // their index, so every sample sees the same view on any worker.
+  parallel_for(num_batches, threads, [&](Worker& w, int slot, int b) {
+    const PatternSet patterns = PatternSet::random(
         net_.num_pis(), words,
         derive_seed(options.seed ^ kPatternStream, static_cast<uint64_t>(b)));
-    run_golden(patterns, vectors);
-    int begin = b * per_batch;
-    int end = std::min(samples, begin + per_batch);
-    parallel_for(begin, end, threads, [&](Worker& w, int slot, int i) {
-      simulate_fault(w, faults[i]);
-      visit(i, faults[i], view_of(w, slot));
-    });
-  }
+    simulate_golden(patterns, w.golden, w.fanin);
+    const int end = std::min(samples, (b + 1) * per_batch);
+    for (int i = b * per_batch; i < end; ++i) {
+      simulate_fault(w, w.golden, faults[i]);
+      visit(i, faults[i], view_of(w, w.golden, slot));
+    }
+  });
 }
 
 void FaultSimEngine::run_batch(const PatternSet& patterns,
                                const std::vector<FaultSpec>& faults,
                                const Visitor& visit, int num_threads,
                                int num_vectors) {
-  run_golden(patterns, num_vectors);
+  if (patterns.num_pis() != net_.num_pis()) {
+    throw std::logic_error("FaultSimEngine: PI count mismatch");
+  }
+  set_geometry(patterns.num_words(), num_vectors);
+  const int count = static_cast<int>(faults.size());
+  const int threads =
+      std::max(1, std::min(resolve_thread_option(num_threads), count));
+  prepare_workers(threads, /*own_golden=*/false);
+  // One batch: a single golden image shared read-only by every worker.
+  reshape(golden_, net_.num_nodes(), num_words_);
+  simulate_golden(patterns, golden_, workers_[0]->fanin);
   // Structural validation only (range, duplicates, burst shape): the
   // caller owns the explicit fault list, so dead sites are allowed here.
   for (const FaultSpec& spec : faults) validate_spec(spec, num_vectors_);
-  const int threads = resolve_thread_option(num_threads);
-  parallel_for(0, static_cast<int>(faults.size()), threads,
-               [&](Worker& w, int slot, int i) {
-                 simulate_fault(w, faults[i]);
-                 visit(i, faults[i], view_of(w, slot));
-               });
+  if (count == 0) return;
+  if (trace::enabled()) {
+    static trace::Counter& sims = trace::counter("faultsim.fault_sims");
+    sims.add(count);
+  }
+  parallel_for(count, threads, [&](Worker& w, int slot, int i) {
+    simulate_fault(w, golden_, faults[i]);
+    visit(i, faults[i], view_of(w, golden_, slot));
+  });
 }
 
 FaultSimEngine::Sampler FaultSimEngine::make_sampler(

@@ -15,10 +15,16 @@
 //     walked level-by-level from precomputed fanout adjacency, with
 //     propagation stopping as soon as a node's faulty value collapses back
 //     to its golden value;
-//   * faults are distributed over the shared process-wide task pool
-//     (core/task_pool.hpp); every pool slot owns a reusable scratch arena
-//     (faulty values, epochs, level buckets) over the shared read-only
-//     golden image — no per-injection allocations;
+//   * a campaign is one loop over its pattern batches on the shared
+//     process-wide task pool (core/task_pool.hpp): each task draws its
+//     batch's patterns, simulates golden into the executing worker's own
+//     golden plane, then injects the batch's faults in sample order — one
+//     fork/join per campaign, golden runs in parallel. run_batch, which
+//     has only one batch, keeps one shared read-only golden image and
+//     spreads its faults over the pool instead;
+//   * every pool slot owns reusable scratch (golden and faulty planes,
+//     epochs, level buckets), sized before the loop — no per-injection
+//     allocations;
 //   * value planes are flat 64-byte-aligned SoA arenas (sim/arena.hpp)
 //     evaluated by the runtime-dispatched SIMD kernels (sim/kernels.hpp);
 //   * results are bit-identical for any thread count AND any SIMD width:
@@ -93,8 +99,8 @@ struct FaultSpec {
 };
 
 /// Read-only view of one fault's effect on the current pattern batch,
-/// handed to campaign visitors. Pointers are into the engine's golden
-/// image and the calling worker's arena; valid only during the visit.
+/// handed to campaign visitors. Pointers are into the batch's golden
+/// plane and the calling worker's arena; valid only during the visit.
 class FaultView {
  public:
   int num_words() const { return num_words_; }
@@ -248,17 +254,28 @@ class FaultSimEngine {
  private:
   struct Worker;
 
-  void run_golden(const PatternSet& patterns, int num_vectors);
-  void simulate_fault(Worker& w, const FaultSpec& fault) const;
+  /// Sets the batch geometry shared by every golden and faulty plane: a
+  /// non-positive num_vectors means all num_words * 64 vectors; more than
+  /// that throws std::logic_error.
+  void set_geometry(int num_words, int num_vectors);
+  /// Golden simulation of `patterns` into `golden`, already sized to the
+  /// current geometry; `fanin` is the caller's scratch.
+  void simulate_golden(const PatternSet& patterns, ValueArena& golden,
+                       std::vector<const uint64_t*>& fanin) const;
+  void simulate_fault(Worker& w, const ValueArena& golden,
+                      const FaultSpec& fault) const;
   /// Structural validation (range, duplicate sites, burst shape); throws
   /// std::logic_error. Returns true when every site is live.
   bool validate_spec(const FaultSpec& spec, int num_vectors) const;
-  FaultView view_of(const Worker& w, int slot) const;
-  Worker& worker(int index);
-  /// Dispatches f(worker, slot, i) for i in [begin, end) over up to
-  /// `threads` slots of the shared task pool (arena `slot` is exclusive
-  /// to the executing thread for the duration of the loop).
-  void parallel_for(int begin, int end, int threads,
+  FaultView view_of(const Worker& w, const ValueArena& golden, int slot) const;
+  /// Sizes the first `threads` workers' scratch (and, with `own_golden`,
+  /// their golden planes) for the current geometry before a loop, so no
+  /// task allocates; zeroes their node_evals.
+  void prepare_workers(int threads, bool own_golden);
+  /// Dispatches f(worker, slot, i) for i in [0, count) over up to
+  /// `threads` prepared workers on the shared task pool (worker `slot` is
+  /// exclusive to the executing thread for the duration of the loop).
+  void parallel_for(int count, int threads,
                     const std::function<void(Worker&, int, int)>& f);
 
   const Network& net_;
@@ -272,7 +289,8 @@ class FaultSimEngine {
   int num_words_ = 0;
   int num_vectors_ = 0;
   uint64_t tail_mask_ = ~0ULL;  ///< valid bits of the final word
-  /// Shared read-only golden plane (one aligned row per node).
+  /// run_batch's golden plane, shared read-only by its workers (campaigns
+  /// use each worker's own plane instead).
   ValueArena golden_;
 
   std::vector<std::unique_ptr<Worker>> workers_;

@@ -59,11 +59,6 @@ std::optional<Cube> Cube::parse(const std::string& text) {
   return c;
 }
 
-LitCode Cube::get(int var) const {
-  assert(var >= 0 && var < num_vars_);
-  return static_cast<LitCode>((words_[word_of(var)] >> shift_of(var)) & 3);
-}
-
 void Cube::set(int var, LitCode code) {
   assert(var >= 0 && var < num_vars_);
   uint64_t& w = words_[word_of(var)];

@@ -11,6 +11,7 @@
 // algorithms in the approximate-logic synthesis core (paper Sec. 2.1.2).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -47,7 +48,12 @@ class Cube {
 
   int num_vars() const { return num_vars_; }
 
-  LitCode get(int var) const;
+  // Inline: the SOP evaluation kernels read every position of every cube
+  // on every word step.
+  LitCode get(int var) const {
+    assert(var >= 0 && var < num_vars_);
+    return static_cast<LitCode>((words_[word_of(var)] >> shift_of(var)) & 3);
+  }
   void set(int var, LitCode code);
 
   /// True if any position is kEmpty (cube denotes the empty set).

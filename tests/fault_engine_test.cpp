@@ -48,6 +48,17 @@ std::vector<FaultSpec> all_stuck_at(const Network& net) {
   return faults;
 }
 
+// Live stuck-ats of `net`: random_network leaves some gates with no
+// fanout and no PO, and a campaign rejects those.
+std::vector<FaultSpec> live_stuck_at(const Network& net,
+                                     const FaultSimEngine& engine) {
+  std::vector<FaultSpec> faults = all_stuck_at(net);
+  std::erase_if(faults, [&](const FaultSpec& f) {
+    return !engine.is_live_site(f.sites[0].node, f.sites[0].stuck_value);
+  });
+  return faults;
+}
+
 CedDesign duplication_ced(const std::string& bench) {
   Network mapped = technology_map(quick_synthesis(make_benchmark(bench)));
   std::vector<ApproxDirection> dirs(mapped.num_pos(),
@@ -140,17 +151,12 @@ TEST(FaultEngineTest, UnexcitedFaultLeavesViewGolden) {
 
 TEST(FaultEngineTest, CampaignVisitsEverySampleExactlyOnce) {
   Network net = random_network(5);
-  std::vector<FaultSpec> faults = all_stuck_at(net);
   FaultSimEngine engine(net);
+  const std::vector<FaultSpec> faults = live_stuck_at(net, engine);
   CampaignOptions opt;
   opt.num_fault_samples = 100;
   opt.faults_per_batch = 16;
   opt.num_threads = 4;
-  // random_network leaves some gates with no fanout and no PO; a campaign
-  // rejects those, so draw only live stuck-ats.
-  std::erase_if(faults, [&](const FaultSpec& f) {
-    return !engine.is_live_site(f.sites[0].node, f.sites[0].stuck_value);
-  });
   ASSERT_FALSE(faults.empty());
   std::vector<int> visits(opt.num_fault_samples, 0);
   engine.run_campaign(
@@ -230,12 +236,126 @@ TEST(FaultEngineTest, ReliabilityBitIdenticalAcrossThreadCounts) {
   ReliabilityReport r1 = analyze_reliability(mapped, one);
   ReliabilityReport r4 = analyze_reliability(mapped, four);
   ASSERT_EQ(r1.outputs.size(), r4.outputs.size());
+  // Exact equality: the rates are ratios of exact integer counts, so the
+  // contract is bit-identity, not closeness.
   for (size_t o = 0; o < r1.outputs.size(); ++o) {
-    EXPECT_DOUBLE_EQ(r1.outputs[o].rate_0_to_1, r4.outputs[o].rate_0_to_1);
-    EXPECT_DOUBLE_EQ(r1.outputs[o].rate_1_to_0, r4.outputs[o].rate_1_to_0);
+    EXPECT_EQ(r1.outputs[o].rate_0_to_1, r4.outputs[o].rate_0_to_1);
+    EXPECT_EQ(r1.outputs[o].rate_1_to_0, r4.outputs[o].rate_1_to_0);
   }
-  EXPECT_DOUBLE_EQ(r1.any_output_error_rate, r4.any_output_error_rate);
-  EXPECT_DOUBLE_EQ(r1.max_ced_coverage, r4.max_ced_coverage);
+  EXPECT_EQ(r1.any_output_error_rate, r4.any_output_error_rate);
+  EXPECT_EQ(r1.max_ced_coverage, r4.max_ced_coverage);
+}
+
+// A campaign is one pool job over its pattern batches, not one fork/join
+// per batch: 25000 samples in 391 batches of 64 at 2 threads.
+TEST(FaultEngineTest, CampaignForksThePoolOnce) {
+  Network net = random_network(7);
+  FaultSimEngine engine(net);
+  const std::vector<FaultSpec> faults = live_stuck_at(net, engine);
+  ASSERT_FALSE(faults.empty());
+  CampaignOptions opt;
+  opt.num_fault_samples = 25000;
+  opt.words_per_fault = 1;
+  opt.faults_per_batch = 64;
+  opt.num_threads = 2;
+
+  trace::reset();
+  trace::set_trace_enabled(true);
+  engine.run_campaign(
+      opt,
+      [&](uint64_t s) { return faults[SplitMix64(s).next() % faults.size()]; },
+      [](int, const FaultSpec&, const FaultView&) {});
+  trace::set_trace_enabled(false);
+  const int64_t jobs = trace::counter("pool.jobs").value();
+  const int64_t sims = trace::counter("faultsim.fault_sims").value();
+  const int64_t batches = trace::counter("faultsim.batches").value();
+  const int64_t words = trace::counter("faultsim.pattern_words").value();
+  trace::reset();
+
+  EXPECT_EQ(jobs, 1);
+  EXPECT_EQ(sims, 25000);
+  EXPECT_EQ(batches, 391);
+  EXPECT_EQ(words, 391);
+}
+
+// Batch shapes the per-batch tasks must get right: a partial final batch
+// (150 = 64 + 64 + 22 samples) and fewer batches than workers (3 batches
+// at 4 threads). Every sample is visited once with the same view, and
+// coverage and reliability counts match the 1-thread run exactly.
+TEST(FaultEngineTest, PartialAndScarceBatchesMatchOneThread) {
+  constexpr int kSamples = 150;
+  constexpr int kPerBatch = 64;
+  Network net = random_network(13);
+  FaultSimEngine engine(net);
+  const std::vector<FaultSpec> faults = live_stuck_at(net, engine);
+  ASSERT_FALSE(faults.empty());
+
+  // Per-sample fingerprint of every node's faulty row, and visit counts.
+  auto campaign = [&](int threads) {
+    CampaignOptions opt;
+    opt.num_fault_samples = kSamples;
+    opt.faults_per_batch = kPerBatch;
+    opt.vectors_per_fault = 100;  // partial final word as well
+    opt.num_threads = threads;
+    std::vector<uint64_t> prints(kSamples, 0);
+    std::vector<int> visits(kSamples, 0);
+    engine.run_campaign(
+        opt,
+        [&](uint64_t s) {
+          return faults[SplitMix64(s).next() % faults.size()];
+        },
+        [&](int i, const FaultSpec&, const FaultView& view) {
+          uint64_t h = 0;
+          for (NodeId id = 0; id < net.num_nodes(); ++id) {
+            for (int w = 0; w < view.num_words(); ++w) {
+              h = h * 1099511628211ULL ^
+                  (view.faulty(id)[w] & view.word_mask(w));
+            }
+          }
+          prints[i] = h;
+          ++visits[i];
+        });
+    EXPECT_EQ(visits, std::vector<int>(kSamples, 1)) << threads << " threads";
+    return prints;
+  };
+
+  CedDesign ced = duplication_ced("cmp4");
+  auto coverage = [&](int threads) {
+    CoverageOptions opt;
+    opt.num_fault_samples = kSamples;
+    opt.faults_per_batch = kPerBatch;
+    opt.num_threads = threads;
+    return evaluate_ced_coverage(ced, opt);
+  };
+  Network mapped = technology_map(quick_synthesis(make_benchmark("dec38")));
+  auto reliability = [&](int threads) {
+    ReliabilityOptions opt;
+    opt.num_fault_samples = kSamples;
+    opt.faults_per_batch = kPerBatch;
+    opt.num_threads = threads;
+    return analyze_reliability(mapped, opt);
+  };
+
+  const std::vector<uint64_t> prints1 = campaign(1);
+  const CoverageResult c1 = coverage(1);
+  const ReliabilityReport r1 = reliability(1);
+  EXPECT_GT(c1.erroneous, 0);
+  EXPECT_GT(r1.any_output_error_rate, 0.0);
+  for (int threads : {3, 4}) {
+    EXPECT_EQ(campaign(threads), prints1) << threads << " threads";
+    const CoverageResult c = coverage(threads);
+    EXPECT_EQ(c.runs, c1.runs) << threads << " threads";
+    EXPECT_EQ(c.erroneous, c1.erroneous) << threads << " threads";
+    EXPECT_EQ(c.detected, c1.detected) << threads << " threads";
+    const ReliabilityReport r = reliability(threads);
+    ASSERT_EQ(r.outputs.size(), r1.outputs.size());
+    for (size_t o = 0; o < r1.outputs.size(); ++o) {
+      EXPECT_EQ(r.outputs[o].rate_0_to_1, r1.outputs[o].rate_0_to_1);
+      EXPECT_EQ(r.outputs[o].rate_1_to_0, r1.outputs[o].rate_1_to_0);
+    }
+    EXPECT_EQ(r.any_output_error_rate, r1.any_output_error_rate);
+    EXPECT_EQ(r.max_ced_coverage, r1.max_ced_coverage);
+  }
 }
 
 TEST(FaultEngineTest, CampaignRejectsOutOfRangeFaultSites) {

@@ -142,8 +142,8 @@ TEST(TraceTest, CountersAtomicUnderTaskPool) {
 
   EXPECT_EQ(mono.value(), kN);
   EXPECT_EQ(gauge.value(), kN - 1);
-  const trace::PhaseStat* span = find_phase(trace::phase_summary(),
-                                            "test.pool_span");
+  const std::vector<trace::PhaseStat> phases = trace::phase_summary();
+  const trace::PhaseStat* span = find_phase(phases, "test.pool_span");
   ASSERT_NE(span, nullptr);
   EXPECT_EQ(span->count, kN);
 }
@@ -220,14 +220,15 @@ TEST(TraceTest, SummaryJsonAndReset) {
   EXPECT_NE(json.find("\"test.summary_span\""), std::string::npos);
   EXPECT_NE(json.find("\"test.summary_ctr\""), std::string::npos);
 
-  const trace::CounterStat* ctr =
-      find_counter(trace::counter_summary(), "test.summary_ctr");
+  std::vector<trace::CounterStat> counters = trace::counter_summary();
+  const trace::CounterStat* ctr = find_counter(counters, "test.summary_ctr");
   ASSERT_NE(ctr, nullptr);
   EXPECT_EQ(ctr->value, 3);
 
   trace::reset();
   EXPECT_EQ(find_phase(trace::phase_summary(), "test.summary_span"), nullptr);
-  ctr = find_counter(trace::counter_summary(), "test.summary_ctr");
+  counters = trace::counter_summary();
+  ctr = find_counter(counters, "test.summary_ctr");
   ASSERT_NE(ctr, nullptr) << "reset zeroes counters but keeps them registered";
   EXPECT_EQ(ctr->value, 0);
 }
