@@ -101,8 +101,7 @@ VisitorSweep run_visitor_sweep(const CedDesign& ced, int words, int reps,
         }
         copy(static_cast<int>(2 * outs), v.faulty(ced.error_pair.rail1));
         copy(static_cast<int>(2 * outs + 1), v.faulty(ced.error_pair.rail2));
-      },
-      /*num_threads=*/1);
+      });
   std::vector<const uint64_t*> golden, faulty;
   for (size_t o = 0; o < outs; ++o) {
     golden.push_back(rows.row(static_cast<int>(o)));

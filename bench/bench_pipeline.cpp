@@ -74,10 +74,9 @@ SuiteRun run_suite(const std::vector<Network>& nets, int threads) {
   opt.approx.significance_threshold = 0.12;
   opt.reliability.num_fault_samples = scaled(1200);
   opt.coverage.num_fault_samples = scaled(1200);
-  // Explicit caps everywhere so `threads` bounds the whole process: the
-  // row tasks and the campaigns inside them (synthesis is serial).
-  opt.reliability.num_threads = threads;
-  opt.coverage.num_threads = threads;
+  // `threads` bounds the whole process: the row tasks and the campaigns
+  // inside them (synthesis is serial).
+  const ScopedThreadCount limit(threads);
 
   SuiteRun run;
   run.rows.resize(kNumRows);
@@ -102,8 +101,7 @@ SuiteRun run_suite(const std::vector<Network>& nets, int threads) {
         row.erroneous = r.coverage.erroneous;
         row.detected = r.coverage.detected;
         row.coverage_pct = 100.0 * r.coverage.coverage();
-      },
-      threads);
+      });
   run.seconds = watch.seconds();
   return run;
 }

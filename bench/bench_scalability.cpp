@@ -53,8 +53,8 @@ BENCHMARK(BM_ReliabilityAnalysis)
 // Whole-suite scaling on the shared task pool: every circuit of the ladder
 // runs as one run_ced_pipeline task, and the per-row tasks plus their inner
 // fault campaigns share the pool's workers (Arg = worker cap; 1 = serial
-// reference). Per-row results are bit-identical across Args by the pool's
-// determinism contract.
+// reference, 0 = the APX_THREADS policy). Per-row results are
+// bit-identical across Args by the pool's determinism contract.
 void BM_PipelineSuite(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   std::vector<Network> nets;
@@ -63,16 +63,15 @@ void BM_PipelineSuite(benchmark::State& state) {
   opt.approx.significance_threshold = 0.12;
   opt.reliability.num_fault_samples = 300;
   opt.coverage.num_fault_samples = 300;
-  // Cap the inner loops too, so Arg(1) is a genuinely serial reference.
-  opt.reliability.num_threads = threads;
-  opt.coverage.num_threads = threads;
+  // One limit for the row tasks and the loops inside them, so Arg(1) is a
+  // genuinely serial reference.
+  const ScopedThreadCount limit(threads);
   for (auto _ : state) {
     int64_t gates = 0;
     std::vector<PipelineResult> rows(nets.size());
     TaskPool::instance().parallel_for(
         0, static_cast<int64_t>(nets.size()),
-        [&](int64_t i) { rows[i] = run_ced_pipeline(nets[i], opt); },
-        threads);
+        [&](int64_t i) { rows[i] = run_ced_pipeline(nets[i], opt); });
     for (const PipelineResult& r : rows) {
       gates += r.mapped_original.num_logic_nodes();
     }

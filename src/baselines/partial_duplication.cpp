@@ -18,7 +18,6 @@ CampaignOptions campaign_options(const PartialDuplicationOptions& options,
   copt.num_fault_samples = options.num_fault_samples;
   copt.words_per_fault = options.words_per_fault;
   copt.faults_per_batch = options.faults_per_batch;
-  copt.num_threads = options.num_threads;
   copt.seed = seed;
   return copt;
 }
@@ -78,8 +77,7 @@ RankHistogram rank_histogram(const Network& net,
   // ranks 0..k, so row[k] = |prefix after k| - |prefix before k| — the
   // per-word remaining/any bookkeeping reduced to one accumulate and one
   // popcount kernel call per rank.
-  const int slots = resolve_thread_option(options.num_threads);
-  std::vector<std::vector<uint64_t>> any_scratch(slots);
+  std::vector<std::vector<uint64_t>> any_scratch(thread_count());
   run_model_campaign(
       engine, sites, options, options.seed,
       [&](int i, const FaultSpec&, const FaultView& v) {

@@ -28,9 +28,6 @@ struct PartialDuplicationOptions {
   /// Fault samples amortizing one shared golden simulation in the
   /// FaultSimEngine (see src/sim/fault_engine.hpp).
   int faults_per_batch = 64;
-  /// Parallelism cap on the shared task pool; 0 = apx::thread_count()
-  /// (APX_THREADS policy). Selection is bit-identical for any value.
-  int num_threads = 0;
   uint64_t seed = 0xD0B1;
 };
 

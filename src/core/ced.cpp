@@ -127,7 +127,6 @@ CoverageResult evaluate_ced_coverage(const CedDesign& ced,
   copt.words_per_fault = options.words_per_fault;
   copt.vectors_per_fault = options.vectors_per_fault;
   copt.faults_per_batch = options.faults_per_batch;
-  copt.num_threads = options.num_threads;
   copt.seed = options.seed;
   copt.model = options.model;
   copt.sites_per_fault = options.sites_per_fault;
@@ -147,8 +146,7 @@ CoverageResult evaluate_ced_coverage(const CedDesign& ced,
   // counts. The rails agree exactly where the checker flags an error, so
   // detected = |err| - |(z1 ^ z2) & err|. The accounting is identical for
   // every fault model.
-  const int slots = resolve_thread_option(options.num_threads);
-  std::vector<std::vector<uint64_t>> err_scratch(slots);
+  std::vector<std::vector<uint64_t>> err_scratch(thread_count());
   auto account = [&](int i, const FaultSpec&, const FaultView& v) {
     Row& row = rows[i];
     const int W = v.num_words();

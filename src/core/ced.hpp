@@ -89,9 +89,8 @@ struct CoverageOptions {
   /// Fault samples amortizing one shared golden simulation in the
   /// FaultSimEngine (see src/sim/fault_engine.hpp).
   int faults_per_batch = 64;
-  /// Parallelism cap on the shared task pool; 0 = apx::thread_count()
-  /// (APX_THREADS policy). Counts are bit-identical for any value
-  /// (deterministic per-sample seeds, per-sample result slots).
+  /// Ignored; kept only because cedbench sets it; goes with the next
+  /// change to that benchmark. Workers follow apx::thread_count().
   int num_threads = 0;
   uint64_t seed = 0xCED;
 };

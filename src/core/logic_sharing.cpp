@@ -95,7 +95,7 @@ SharingReport apply_logic_sharing(CedDesign& ced,
     }
     const int W = options.criticality_words;
     std::vector<int64_t> fault_mass(faults.size(), 0);
-    std::vector<std::vector<uint64_t>> err_rows(resolve_thread_option(0));
+    std::vector<std::vector<uint64_t>> err_rows(thread_count());
     FaultSimEngine engine(net);
     engine.run_batch(
         PatternSet::random(net.num_pis(), W, options.seed ^ 0xC417), faults,

@@ -63,8 +63,8 @@ MaskingResult evaluate_masking(const MaskingDesign& design,
     throw std::invalid_argument(
         "evaluate_masking: words_per_fault must be positive");
   }
-  // Only the sample count, word count, seed and thread cap steer this
-  // campaign; refuse settings it would silently ignore.
+  // Only the sample count, word count and seed steer this campaign;
+  // refuse settings it would silently ignore.
   const CoverageOptions defaults;
   auto reject = [](const char* field) {
     throw std::invalid_argument(std::string("evaluate_masking: ") + field +
@@ -111,7 +111,7 @@ MaskingResult evaluate_masking(const MaskingDesign& design,
     const bool stuck_value = (rng() & 1) != 0;
     PatternSet patterns = PatternSet::random(ced.design.num_pis(), W, rng());
     engine.run_batch(patterns, {FaultSpec::stuck_at(site, stuck_value)},
-                     count, options.num_threads);
+                     count);
     result.runs += 64ll * W;
   }
   return result;

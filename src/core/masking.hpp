@@ -56,7 +56,7 @@ struct MaskingResult {
 
 /// Random single-stuck-at injection over the functional gates, one fault
 /// per sample on its own `words_per_fault` random pattern words. Reads
-/// num_fault_samples, words_per_fault, seed and num_threads; throws
+/// num_fault_samples, words_per_fault and seed; throws
 /// std::invalid_argument, naming the field, for a non-positive
 /// words_per_fault and for any other field it would ignore: a nonzero
 /// vectors_per_fault, a model other than kSingleStuckAt, or

@@ -16,9 +16,7 @@ namespace {
 std::atomic<int> g_thread_override{0};
 
 int default_thread_count() {
-  if (int v = parse_thread_env(std::getenv("APX_THREADS")); v > 0) {
-    return std::min(v, TaskPool::kMaxWorkers);
-  }
+  if (int v = parse_thread_env(std::getenv("APX_THREADS")); v > 0) return v;
   unsigned hc = std::thread::hardware_concurrency();
   return hc > 0 ? static_cast<int>(hc) : 1;
 }
@@ -48,10 +46,12 @@ void set_thread_count(int n) {
       std::memory_order_relaxed);
 }
 
-int resolve_thread_option(int requested) {
-  return requested > 0 ? std::min(requested, TaskPool::kMaxWorkers)
-                       : thread_count();
+ScopedThreadCount::ScopedThreadCount(int n)
+    : previous_(g_thread_override.load(std::memory_order_relaxed)) {
+  set_thread_count(n);
 }
+
+ScopedThreadCount::~ScopedThreadCount() { set_thread_count(previous_); }
 
 /// One in-flight parallel loop. Chunk claiming is a lock-free fetch_add on
 /// `next`; participant registration/retirement runs under the pool mutex,
@@ -103,11 +103,6 @@ TaskPool& TaskPool::instance() {
   // everything anyway.
   static TaskPool* pool = new TaskPool();
   return *pool;
-}
-
-int TaskPool::num_workers() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  return static_cast<int>(impl_->workers.size());
 }
 
 void TaskPool::ensure_workers(int n) {

@@ -17,37 +17,43 @@
 //
 // Determinism contract (the repo convention established by the fault
 // engine's per-index seed derivation): the pool guarantees that every
-// index of a loop is executed exactly once and that `reduce_ordered`
-// folds partial results in index order on the calling thread. Callers
-// guarantee that the body writes only to state owned by its index (or its
-// slot). Under those two rules every result is bit-identical for any
-// worker count, including 1 (`APX_THREADS=1` runs loops inline on the
-// caller).
+// index of a loop is executed exactly once. Callers guarantee that the
+// body writes only to state owned by its index (or its slot) and that
+// they fold per-index or per-slot results in index order afterwards.
+// Under those rules every result is bit-identical for any worker count,
+// including 1 (`APX_THREADS=1` runs loops inline on the caller).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 namespace apx {
 
-/// Global parallelism policy: the `APX_THREADS` environment variable when
-/// set to a positive integer, else std::thread::hardware_concurrency().
-/// Cached after the first read; `set_thread_count` overrides it.
+/// The library's one worker limit: the set_thread_count override, else a
+/// positive `APX_THREADS`, else std::thread::hardware_concurrency().
 int thread_count();
 
-/// Programmatic override of thread_count() (the option-level twin of
-/// APX_THREADS; used by tests and drivers). 0 clears the override.
+/// Overrides thread_count() (clamped to TaskPool::kMaxWorkers); n <= 0
+/// clears it. Never while a pool loop runs: callers size per-slot scratch
+/// from their own thread_count() read, apart from the fault engine's.
 void set_thread_count(int n);
+
+/// set_thread_count(n) for a scope; restores the previous override on
+/// exit. Same rule as set_thread_count.
+class ScopedThreadCount {
+ public:
+  explicit ScopedThreadCount(int n);
+  ~ScopedThreadCount();
+  ScopedThreadCount(const ScopedThreadCount&) = delete;
+  ScopedThreadCount& operator=(const ScopedThreadCount&) = delete;
+
+ private:
+  int previous_;
+};
 
 /// Parses an APX_THREADS-style value: positive integer => that count,
 /// anything else (null, junk, <= 0) => 0 ("unset"). Exposed for tests.
 int parse_thread_env(const char* text);
-
-/// Resolves a per-call `num_threads` option: positive values are honored
-/// verbatim (the pool grows on demand), 0 or negative defers to the
-/// thread_count() policy.
-int resolve_thread_option(int requested);
 
 class TaskPool {
  public:
@@ -74,35 +80,6 @@ class TaskPool {
   void parallel_for(int64_t begin, int64_t end,
                     const std::function<void(int64_t)>& body,
                     int max_slots = 0, int64_t grain = 1);
-
-  /// out[i] = f(i) for i in [0, n): results land in index order by
-  /// construction, independent of scheduling.
-  template <typename T>
-  std::vector<T> parallel_map(int64_t n, const std::function<T(int64_t)>& f,
-                              int max_slots = 0, int64_t grain = 1) {
-    std::vector<T> out(static_cast<size_t>(n > 0 ? n : 0));
-    parallel_for(
-        0, n, [&](int64_t i) { out[static_cast<size_t>(i)] = f(i); },
-        max_slots, grain);
-    return out;
-  }
-
-  /// Ordered reduction: maps in parallel, then folds the partial results
-  /// serially in index order on the calling thread. With a deterministic
-  /// map this is bit-identical for every worker count even when `reduce`
-  /// is non-associative in floating point.
-  template <typename T, typename Reduce>
-  T reduce_ordered(int64_t n, T init, const std::function<T(int64_t)>& map_fn,
-                   const Reduce& reduce, int max_slots = 0,
-                   int64_t grain = 1) {
-    std::vector<T> parts = parallel_map<T>(n, map_fn, max_slots, grain);
-    T acc = std::move(init);
-    for (T& part : parts) acc = reduce(std::move(acc), std::move(part));
-    return acc;
-  }
-
-  /// Worker threads currently spawned (diagnostics; grows on demand).
-  int num_workers() const;
 
   /// Hard cap on spawned workers (requests beyond it are clamped).
   static constexpr int kMaxWorkers = 64;

@@ -127,7 +127,6 @@ ReliabilityReport analyze_reliability(const Network& net,
   copt.num_fault_samples = options.num_fault_samples;
   copt.words_per_fault = options.words_per_fault;
   copt.faults_per_batch = options.faults_per_batch;
-  copt.num_threads = options.num_threads;
   copt.seed = options.seed;
   // The accounting below is fault-agnostic; only the sampler changes with
   // the model. The single-stuck-at draw picks one of the 2N (node,
@@ -149,7 +148,6 @@ ReliabilityReport analyze_reliability(const Network& net,
   const int key_words = (P + kPosPerWord - 1) / kPosPerWord;
   std::vector<NodeId> drivers(P);
   for (int o = 0; o < P; ++o) drivers[o] = net.po(o).driver;
-  const int slots = resolve_thread_option(options.num_threads);
   const int64_t runs = static_cast<int64_t>(options.num_fault_samples) *
                        options.words_per_fault * 64;
 
@@ -163,9 +161,7 @@ ReliabilityReport analyze_reliability(const Network& net,
   // are only known once every sample is in; so each erring vector's error
   // signature is counted here and scored against the directions after the
   // merge.
-  std::vector<SlotCounts> slot;
-  slot.reserve(slots);
-  for (int s = 0; s < slots; ++s) slot.emplace_back(P, key_words);
+  std::vector<SlotCounts> slot(thread_count(), SlotCounts(P, key_words));
   engine.run_campaign(copt, sampler, [&](int, const FaultSpec&,
                                          const FaultView& v) {
     SlotCounts& c = slot[v.worker_slot()];

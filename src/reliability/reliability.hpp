@@ -74,8 +74,8 @@ struct ReliabilityOptions {
   /// Fault samples amortizing one shared golden simulation in the
   /// FaultSimEngine (see src/sim/fault_engine.hpp).
   int faults_per_batch = 64;
-  /// Parallelism cap on the shared task pool; 0 = apx::thread_count()
-  /// (APX_THREADS policy). Results are bit-identical for any value.
+  /// Ignored; kept only because cedbench sets it; goes with the next
+  /// change to that benchmark. Workers follow apx::thread_count().
   int num_threads = 0;
   uint64_t seed = 0x5EED;
 };

@@ -340,8 +340,7 @@ void FaultSimEngine::run_campaign(const CampaignOptions& options,
   set_geometry(words, vectors);
   const int per_batch = options.faults_per_batch;
   const int num_batches = (samples + per_batch - 1) / per_batch;
-  const int threads =
-      std::min(resolve_thread_option(options.num_threads), num_batches);
+  const int threads = std::min(thread_count(), num_batches);
   prepare_workers(threads, /*own_golden=*/true);
   // One pool task per pattern batch: the worker draws the batch's
   // patterns, simulates golden into its own plane, then walks the batch's
@@ -362,15 +361,13 @@ void FaultSimEngine::run_campaign(const CampaignOptions& options,
 
 void FaultSimEngine::run_batch(const PatternSet& patterns,
                                const std::vector<FaultSpec>& faults,
-                               const Visitor& visit, int num_threads,
-                               int num_vectors) {
+                               const Visitor& visit, int num_vectors) {
   if (patterns.num_pis() != net_.num_pis()) {
     throw std::logic_error("FaultSimEngine: PI count mismatch");
   }
   set_geometry(patterns.num_words(), num_vectors);
   const int count = static_cast<int>(faults.size());
-  const int threads =
-      std::max(1, std::min(resolve_thread_option(num_threads), count));
+  const int threads = std::max(1, std::min(thread_count(), count));
   prepare_workers(threads, /*own_golden=*/false);
   // One batch: a single golden image shared read-only by every worker.
   reshape(golden_, net_.num_nodes(), num_words_);

@@ -134,9 +134,9 @@ class FaultView {
   bool touched(NodeId id) const { return valid_[id] == epoch_; }
 
   /// Task-pool slot of the worker producing this view: dense in
-  /// [0, num_threads) and unique among concurrently running visitors, so
-  /// callers can accumulate into per-slot buffers without locking (merge
-  /// them in slot order for bit-identical totals).
+  /// [0, apx::thread_count()) and unique among concurrently running
+  /// visitors, so callers can accumulate into per-slot buffers without
+  /// locking (merge them in slot order for bit-identical totals).
   int worker_slot() const { return worker_slot_; }
 
  private:
@@ -166,9 +166,6 @@ struct CampaignOptions {
   /// values amortize more golden work; smaller values see more distinct
   /// vectors across the campaign.
   int faults_per_batch = 64;
-  /// Parallelism cap on the shared task pool; 0 = apx::thread_count()
-  /// (the APX_THREADS policy). Results are bit-identical for any value.
-  int num_threads = 0;
   uint64_t seed = 0x5EED;
 
   /// Fault model the stock samplers draw from (make_sampler). The engine
@@ -213,7 +210,8 @@ class FaultSimEngine {
   /// PatternSet::random(pis, words_per_fault, derive_seed(seed ^
   /// kPatternStream, b)). Visitor calls may run concurrently but every
   /// sample index is visited exactly once, with identical (fault, view)
-  /// content for any num_threads and any SIMD tier.
+  /// content for any worker count and any SIMD tier. Runs on
+  /// min(apx::thread_count(), batches) workers.
   void run_campaign(const CampaignOptions& options, const Sampler& sampler,
                     const Visitor& visit);
 
@@ -236,14 +234,13 @@ class FaultSimEngine {
   /// fault in `faults` evaluated against it (visit called with the fault's
   /// position in the list as sample index). A positive num_vectors
   /// restricts detection to the first num_vectors patterns (the final
-  /// word's padding bits are masked out). num_threads follows the
-  /// CampaignOptions convention: 0 = apx::thread_count() (APX_THREADS
-  /// policy); results are bit-identical for any value. Structural
-  /// validation only — the caller owns the explicit fault list, so dead
-  /// sites are simulated.
+  /// word's padding bits are masked out). Runs on
+  /// min(apx::thread_count(), faults) workers; results are bit-identical
+  /// for any worker count. Structural validation only — the caller owns
+  /// the explicit fault list, so dead sites are simulated.
   void run_batch(const PatternSet& patterns,
                  const std::vector<FaultSpec>& faults, const Visitor& visit,
-                 int num_threads = 0, int num_vectors = 0);
+                 int num_vectors = 0);
 
   const Network& network() const { return net_; }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "benchmarks/benchmarks.hpp"
+#include "core/task_pool.hpp"
 #include "mapping/optimize.hpp"
 #include "sim/simulator.hpp"
 
@@ -113,13 +114,12 @@ TEST(PartialDuplicationTest, WireOnlyNetworkHasNoFaultSites) {
 
 TEST(PartialDuplicationTest, SelectionIsThreadCountInvariant) {
   Network mapped = mapped_bench("dec38");
-  PartialDuplicationOptions serial;
-  serial.num_threads = 1;
-  PartialDuplicationOptions parallel = serial;
-  parallel.num_threads = 4;
-  PartialDuplicationResult a = build_partial_duplication(mapped, 0.7, serial);
-  PartialDuplicationResult b =
-      build_partial_duplication(mapped, 0.7, parallel);
+  auto run = [&](int threads) {
+    const ScopedThreadCount limit(threads);
+    return build_partial_duplication(mapped, 0.7);
+  };
+  PartialDuplicationResult a = run(1);
+  PartialDuplicationResult b = run(4);
   EXPECT_EQ(a.duplicated_pos, b.duplicated_pos);
   EXPECT_EQ(a.estimated_coverage, b.estimated_coverage);
   EXPECT_EQ(a.ced.design.num_nodes(), b.ced.design.num_nodes());

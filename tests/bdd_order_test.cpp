@@ -842,18 +842,16 @@ TEST(BddOrderingSuite, SiftingShrinksPeaksWithIdenticalAnswers) {
   using CircuitRuns = std::array<OrderRun, 3>;
   // One task-pool task per circuit; managers are task-local.
   auto sweep = [&](int workers) {
-    return TaskPool::instance().parallel_map<CircuitRuns>(
-        kCircuits,
-        [&](int64_t c) {
-          const Network net = make_benchmark(pins[c].circuit);
-          const Network weak = make_weakened(net);
-          CircuitRuns runs;
-          for (int m = 0; m < 3; ++m) {
-            runs[m] = run_order(net, weak, static_cast<OrderMode>(m));
-          }
-          return runs;
-        },
-        workers);
+    const ScopedThreadCount limit(workers);
+    std::vector<CircuitRuns> out(kCircuits);
+    TaskPool::instance().parallel_for(0, kCircuits, [&](int64_t c) {
+      const Network net = make_benchmark(pins[c].circuit);
+      const Network weak = make_weakened(net);
+      for (int m = 0; m < 3; ++m) {
+        out[c][m] = run_order(net, weak, static_cast<OrderMode>(m));
+      }
+    });
+    return out;
   };
   const std::vector<CircuitRuns> one = sweep(1);
   const std::vector<CircuitRuns> four = sweep(4);

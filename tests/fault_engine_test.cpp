@@ -7,6 +7,7 @@
 
 #include "benchmarks/benchmarks.hpp"
 #include "core/ced.hpp"
+#include "core/task_pool.hpp"
 #include "core/trace.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/optimize.hpp"
@@ -93,17 +94,17 @@ TEST(FaultEngineTest, RunBatchMatchesSimulator) {
   EXPECT_EQ(visited.load(), static_cast<int>(faults.size()));
 }
 
-// Satellite: run_batch's default num_threads used to be a hard-coded 1
-// while every campaign-level option already defaulted to 0 = the
-// APX_THREADS policy. The default is now 0, and results stay bit-identical
-// between explicit 1 and the policy-resolved pool.
+// run_batch runs on the pool's worker limit (apx::thread_count(), the
+// APX_THREADS policy unless overridden), and results stay bit-identical
+// between the policy, a limit of 1 and a limit of 4.
 TEST(FaultEngineTest, RunBatchDefaultThreadsFollowsPolicyAndStaysIdentical) {
   Network net = random_network(21);
   std::vector<FaultSpec> faults = all_stuck_at(net);
   PatternSet patterns = PatternSet::random(net.num_pis(), 4, 99);
   FaultSimEngine engine(net);
 
-  auto fingerprint = [&](int num_threads) {
+  auto fingerprint = [&](int threads) {
+    const ScopedThreadCount limit(threads);
     std::vector<uint64_t> sums(faults.size(), 0);
     engine.run_batch(
         patterns, faults,
@@ -115,13 +116,11 @@ TEST(FaultEngineTest, RunBatchDefaultThreadsFollowsPolicyAndStaysIdentical) {
             }
           }
           sums[i] = h;
-        },
-        num_threads);
+        });
     return sums;
   };
 
-  // 0 resolves through apx::thread_count() (APX_THREADS policy) — the
-  // same resolution CampaignOptions uses.
+  // A limit of 0 leaves the APX_THREADS policy in charge.
   const std::vector<uint64_t> policy = fingerprint(0);
   const std::vector<uint64_t> serial = fingerprint(1);
   const std::vector<uint64_t> four = fingerprint(4);
@@ -156,7 +155,7 @@ TEST(FaultEngineTest, CampaignVisitsEverySampleExactlyOnce) {
   CampaignOptions opt;
   opt.num_fault_samples = 100;
   opt.faults_per_batch = 16;
-  opt.num_threads = 4;
+  const ScopedThreadCount limit(4);
   ASSERT_FALSE(faults.empty());
   std::vector<int> visits(opt.num_fault_samples, 0);
   engine.run_campaign(
@@ -180,13 +179,12 @@ TEST(FaultEngineTest, CoverageCountsBitIdenticalAcrossThreadCounts) {
   base.num_fault_samples = 400;
   base.faults_per_batch = 32;
 
-  CoverageOptions one = base;
-  one.num_threads = 1;
-  CoverageResult r1 = evaluate_ced_coverage(ced, one);
-
-  CoverageOptions four = base;
-  four.num_threads = 4;
-  CoverageResult r4 = evaluate_ced_coverage(ced, four);
+  auto run = [&](int threads) {
+    const ScopedThreadCount limit(threads);
+    return evaluate_ced_coverage(ced, base);
+  };
+  CoverageResult r1 = run(1);
+  CoverageResult r4 = run(4);
 
   EXPECT_GT(r1.erroneous, 0);
   EXPECT_EQ(r1.runs, r4.runs);
@@ -228,13 +226,14 @@ TEST(FaultEngineTest, ConeWalkDoesFourTimesLessWorkThanPerFaultRerun) {
 
 TEST(FaultEngineTest, ReliabilityBitIdenticalAcrossThreadCounts) {
   Network mapped = technology_map(quick_synthesis(make_benchmark("dec38")));
-  ReliabilityOptions one;
-  one.num_fault_samples = 300;
-  one.num_threads = 1;
-  ReliabilityOptions four = one;
-  four.num_threads = 4;
-  ReliabilityReport r1 = analyze_reliability(mapped, one);
-  ReliabilityReport r4 = analyze_reliability(mapped, four);
+  ReliabilityOptions opt;
+  opt.num_fault_samples = 300;
+  auto run = [&](int threads) {
+    const ScopedThreadCount limit(threads);
+    return analyze_reliability(mapped, opt);
+  };
+  ReliabilityReport r1 = run(1);
+  ReliabilityReport r4 = run(4);
   ASSERT_EQ(r1.outputs.size(), r4.outputs.size());
   // Exact equality: the rates are ratios of exact integer counts, so the
   // contract is bit-identity, not closeness.
@@ -257,7 +256,7 @@ TEST(FaultEngineTest, CampaignForksThePoolOnce) {
   opt.num_fault_samples = 25000;
   opt.words_per_fault = 1;
   opt.faults_per_batch = 64;
-  opt.num_threads = 2;
+  const ScopedThreadCount limit(2);
 
   trace::reset();
   trace::set_trace_enabled(true);
@@ -296,7 +295,7 @@ TEST(FaultEngineTest, PartialAndScarceBatchesMatchOneThread) {
     opt.num_fault_samples = kSamples;
     opt.faults_per_batch = kPerBatch;
     opt.vectors_per_fault = 100;  // partial final word as well
-    opt.num_threads = threads;
+    const ScopedThreadCount limit(threads);
     std::vector<uint64_t> prints(kSamples, 0);
     std::vector<int> visits(kSamples, 0);
     engine.run_campaign(
@@ -324,7 +323,7 @@ TEST(FaultEngineTest, PartialAndScarceBatchesMatchOneThread) {
     CoverageOptions opt;
     opt.num_fault_samples = kSamples;
     opt.faults_per_batch = kPerBatch;
-    opt.num_threads = threads;
+    const ScopedThreadCount limit(threads);
     return evaluate_ced_coverage(ced, opt);
   };
   Network mapped = technology_map(quick_synthesis(make_benchmark("dec38")));
@@ -332,7 +331,7 @@ TEST(FaultEngineTest, PartialAndScarceBatchesMatchOneThread) {
     ReliabilityOptions opt;
     opt.num_fault_samples = kSamples;
     opt.faults_per_batch = kPerBatch;
-    opt.num_threads = threads;
+    const ScopedThreadCount limit(threads);
     return analyze_reliability(mapped, opt);
   };
 

@@ -16,6 +16,7 @@
 #include "baselines/partial_duplication.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "core/ced.hpp"
+#include "core/task_pool.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/optimize.hpp"
 #include "reference_sim.hpp"
@@ -164,8 +165,7 @@ TEST(FaultModelTest, MultiSiteStuckAtMatchesBruteForceResimulation) {
                 << "spec " << i << " node " << id << " word " << w;
           }
         }
-      },
-      /*num_threads=*/1);
+      });
 }
 
 TEST(FaultModelTest, TransientBurstForcesOnlyItsWindow) {
@@ -204,8 +204,7 @@ TEST(FaultModelTest, TransientBurstForcesOnlyItsWindow) {
                 << "node " << id << " word " << w;
           }
         }
-      },
-      /*num_threads=*/1);
+      });
 }
 
 TEST(FaultModelTest, ModelCampaignsBitIdenticalAcrossThreadCounts) {
@@ -220,12 +219,12 @@ TEST(FaultModelTest, ModelCampaignsBitIdenticalAcrossThreadCounts) {
     base.sites_per_fault = 2;
     base.burst_vectors = 24;
 
-    CoverageOptions one = base;
-    one.num_threads = 1;
-    CoverageOptions four = base;
-    four.num_threads = 4;
-    CoverageResult r1 = evaluate_ced_coverage(ced, one);
-    CoverageResult r4 = evaluate_ced_coverage(ced, four);
+    auto run = [&](int threads) {
+      const ScopedThreadCount limit(threads);
+      return evaluate_ced_coverage(ced, base);
+    };
+    CoverageResult r1 = run(1);
+    CoverageResult r4 = run(4);
     EXPECT_GT(r1.erroneous, 0) << fault_model_name(model);
     EXPECT_EQ(r1.runs, r4.runs) << fault_model_name(model);
     EXPECT_EQ(r1.erroneous, r4.erroneous) << fault_model_name(model);
@@ -247,16 +246,17 @@ TEST(FaultModelTest, ModelKnobChangesTheSampledCampaign) {
 
 TEST(FaultModelTest, ReliabilityModelsBitIdenticalAcrossThreadCounts) {
   Network net = make_benchmark("dec38");
-  ReliabilityOptions one;
-  one.num_fault_samples = 200;
-  one.words_per_fault = 2;
-  one.model = FaultModel::kTransientBurst;
-  one.burst_vectors = 16;
-  one.num_threads = 1;
-  ReliabilityOptions four = one;
-  four.num_threads = 4;
-  ReliabilityReport r1 = analyze_reliability(net, one);
-  ReliabilityReport r4 = analyze_reliability(net, four);
+  ReliabilityOptions opt;
+  opt.num_fault_samples = 200;
+  opt.words_per_fault = 2;
+  opt.model = FaultModel::kTransientBurst;
+  opt.burst_vectors = 16;
+  auto run = [&](int threads) {
+    const ScopedThreadCount limit(threads);
+    return analyze_reliability(net, opt);
+  };
+  ReliabilityReport r1 = run(1);
+  ReliabilityReport r4 = run(4);
   EXPECT_GT(r1.any_output_error_rate, 0.0);
   EXPECT_EQ(r1.any_output_error_rate, r4.any_output_error_rate);
   EXPECT_EQ(r1.max_ced_coverage, r4.max_ced_coverage);
@@ -274,10 +274,12 @@ TEST(FaultModelTest, PartialDuplicationSelectionDeterministicUnderModels) {
   opt.words_per_fault = 2;
   opt.model = FaultModel::kMultiStuckAt;
   opt.sites_per_fault = 2;
-  opt.num_threads = 1;
-  PartialDuplicationResult r1 = build_partial_duplication(mapped, 0.9, opt);
-  opt.num_threads = 4;
-  PartialDuplicationResult r4 = build_partial_duplication(mapped, 0.9, opt);
+  auto run = [&](int threads) {
+    const ScopedThreadCount limit(threads);
+    return build_partial_duplication(mapped, 0.9, opt);
+  };
+  PartialDuplicationResult r1 = run(1);
+  PartialDuplicationResult r4 = run(4);
   EXPECT_EQ(r1.duplicated_pos, r4.duplicated_pos);
   EXPECT_EQ(r1.estimated_coverage, r4.estimated_coverage);
   EXPECT_FALSE(r1.duplicated_pos.empty());
@@ -428,9 +430,10 @@ int64_t extra_allocs_for_all_faults(FaultSimEngine& engine,
                                     const PatternSet& patterns,
                                     const std::vector<FaultSpec>& all,
                                     const FaultSimEngine::Visitor& visit) {
+  const ScopedThreadCount serial(1);
   auto allocs_of = [&](const std::vector<FaultSpec>& faults) {
     const int64_t before = g_allocs.load(std::memory_order_relaxed);
-    engine.run_batch(patterns, faults, visit, /*num_threads=*/1);
+    engine.run_batch(patterns, faults, visit);
     return g_allocs.load(std::memory_order_relaxed) - before;
   };
   const std::vector<FaultSpec> one(all.begin(), all.begin() + 1);

@@ -63,7 +63,7 @@ TEST(FaultTailTest, PaddingBitsCannotExciteAFault) {
         // downstream popcounts see zero difference.
         EXPECT_EQ(v.faulty(fx.g), v.golden(fx.g));
       },
-      /*num_threads=*/1, /*num_vectors=*/kVectors);
+      /*num_vectors=*/kVectors);
   EXPECT_EQ(visits, 1);
 
   // Same batch with every vector valid: the word-1 difference is now real
@@ -76,7 +76,7 @@ TEST(FaultTailTest, PaddingBitsCannotExciteAFault) {
                      EXPECT_EQ(v.word_mask(1), ~0ULL);
                      EXPECT_TRUE(v.touched(fx.g));
                    },
-                   /*num_threads=*/1, /*num_vectors=*/0);
+                   /*num_vectors=*/0);
   EXPECT_EQ(visits, 1);
 }
 
@@ -107,7 +107,7 @@ TEST(FaultTailTest, PaddingBitsCannotKeepAPropagatingEventAlive) {
         }
         EXPECT_EQ(detected, 64);  // word 0 only
       },
-      /*num_threads=*/1, /*num_vectors=*/kVectors);
+      /*num_vectors=*/kVectors);
 
   // With only word 1's patterns in play the surviving difference is pure
   // padding: the propagated event must die at the gate.
@@ -120,7 +120,7 @@ TEST(FaultTailTest, PaddingBitsCannotKeepAPropagatingEventAlive) {
                      EXPECT_FALSE(v.touched(fx.g))
                          << "event alive on padding bits only";
                    },
-                   /*num_threads=*/1, /*num_vectors=*/kVectors % 64);
+                   /*num_vectors=*/kVectors % 64);
 }
 
 TEST(FaultTailTest, MultiSitePaddingBitsCannotExciteASpec) {
@@ -149,7 +149,7 @@ TEST(FaultTailTest, MultiSitePaddingBitsCannotExciteASpec) {
         EXPECT_FALSE(v.touched(fx.g));
         EXPECT_EQ(v.faulty(fx.g), v.golden(fx.g));
       },
-      /*num_threads=*/1, /*num_vectors=*/kVectors);
+      /*num_vectors=*/kVectors);
   EXPECT_EQ(visits, 1);
 }
 
@@ -184,7 +184,7 @@ TEST(FaultTailTest, MultiSiteDetectionCountsAreTailMasked) {
         }
         EXPECT_EQ(detected, 64);
       },
-      /*num_threads=*/1, /*num_vectors=*/kVectors);
+      /*num_vectors=*/kVectors);
 }
 
 TEST(FaultTailTest, TransientBurstOverhangingTheTailIsMasked) {
@@ -216,7 +216,7 @@ TEST(FaultTailTest, TransientBurstOverhangingTheTailIsMasked) {
         }
         EXPECT_EQ(detected, 4) << "only valid vectors of the burst count";
       },
-      /*num_threads=*/1, /*num_vectors=*/kVectors);
+      /*num_vectors=*/kVectors);
 }
 
 TEST(FaultTailTest, RunBatchRejectsOversizedVectorCounts) {
@@ -225,7 +225,7 @@ TEST(FaultTailTest, RunBatchRejectsOversizedVectorCounts) {
   FaultSimEngine engine(fx.net);
   EXPECT_THROW(engine.run_batch(patterns, {FaultSpec::stuck_at(fx.g, true)},
                                 [](int, const FaultSpec&, const FaultView&) {},
-                                1, 65),
+                                /*num_vectors=*/65),
                std::logic_error);
 }
 

@@ -95,9 +95,8 @@ struct SuiteRow {
 // capping both the row tasks and the campaigns inside them.
 std::vector<SuiteRow> run_suite(const std::vector<Network>& nets,
                                 int threads) {
-  PipelineOptions opt = fast_options(0.12);
-  opt.reliability.num_threads = threads;
-  opt.coverage.num_threads = threads;
+  const PipelineOptions opt = fast_options(0.12);
+  const ScopedThreadCount limit(threads);
   std::vector<SuiteRow> rows(nets.size());
   TaskPool::instance().parallel_for(
       0, static_cast<int64_t>(nets.size()),
@@ -110,8 +109,7 @@ std::vector<SuiteRow> run_suite(const std::vector<Network>& nets,
         row.area_overhead_pct = r.overheads.area_overhead_pct();
         row.erroneous = r.coverage.erroneous;
         row.detected = r.coverage.detected;
-      },
-      threads);
+      });
   return rows;
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "benchmarks/benchmarks.hpp"
+#include "core/task_pool.hpp"
 #include "reference_sim.hpp"
 #include "sim/kernels.hpp"
 #include "sim/rng.hpp"
@@ -218,7 +219,8 @@ TwoPassReference two_pass_reference(const Network& net,
   }
   const std::vector<ApproxDirection> dirs = choose_directions(ref.report);
 
-  int64_t dominant = 0;
+  int64_t dominant = 0;  // shared by the visitor: run it on one thread
+  const ScopedThreadCount serial(1);
   FaultSimEngine engine(net);
   for (int b = 0; b < num_batches; ++b) {
     const auto [patterns, specs] = batch(b);
@@ -235,8 +237,7 @@ TwoPassReference two_pass_reference(const Network& net,
                          }
                        }
                        for (uint64_t x : row) dominant += std::popcount(x);
-                     },
-                     /*num_threads=*/1);
+                     });
   }
   ref.report.runs = runs;
   ref.report.any_output_error_rate =
@@ -281,7 +282,7 @@ TEST(ReliabilityReferenceTest, SinglePassMatchesTwoPassReference) {
         for (int threads : {1, 2, 4}) {
           SCOPED_TRACE(std::string(simd::tier_name(tier)) + " threads " +
                        std::to_string(threads));
-          opt.num_threads = threads;
+          const ScopedThreadCount limit(threads);
           const ReliabilityReport r = analyze_reliability(net, opt);
           EXPECT_EQ(r.runs, ref.report.runs);
           EXPECT_EQ(r.any_output_error_rate, ref.report.any_output_error_rate);

@@ -24,6 +24,7 @@
 #include "core/approx_synthesis.hpp"
 #include "core/ced.hpp"
 #include "core/pipeline.hpp"
+#include "core/task_pool.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/optimize.hpp"
 #include "network/bench_format.hpp"
@@ -148,7 +149,7 @@ TEST_F(SimdIdentityTest, CoverageCountsAreIdenticalAcrossTiers) {
       for (simd::Tier tier : supported_tiers()) {
         simd::set_tier(tier);
         for (int threads : {1, 4}) {
-          options.num_threads = threads;
+          const ScopedThreadCount limit(threads);
           CoverageResult r = evaluate_ced_coverage(*ced, options);
           if (!reference) {
             reference = r;

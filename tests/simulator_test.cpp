@@ -22,8 +22,7 @@ std::vector<std::vector<uint64_t>> faulty_words(
                      for (NodeId id = 0; id < net.num_nodes(); ++id) {
                        out[i].push_back(v.faulty(id)[0]);
                      }
-                   },
-                   /*num_threads=*/1);
+                   });
   return out;
 }
 

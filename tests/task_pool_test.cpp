@@ -1,14 +1,13 @@
 // Tests for the shared work-stealing task pool (core/task_pool.hpp): the
 // scheduling invariants (every index exactly once, inline fallback,
-// exception propagation, nested submission), the APX_THREADS policy
-// plumbing, and the bit-identity contract on the real consumers —
+// exception propagation, nested submission), the APX_THREADS policy and
+// its scoped override, and the bit-identity contract on the real consumers —
 // analyze_reliability and evaluate_ced_coverage across 1/2/8 workers.
 #include "core/task_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -21,12 +20,6 @@
 
 namespace apx {
 namespace {
-
-// Restores the programmatic thread-count override on scope exit so a
-// failing test cannot leak its policy into later tests.
-struct ThreadCountGuard {
-  ~ThreadCountGuard() { set_thread_count(0); }
-};
 
 TEST(TaskPoolTest, ParseThreadEnv) {
   EXPECT_EQ(parse_thread_env(nullptr), 0);
@@ -41,14 +34,25 @@ TEST(TaskPoolTest, ParseThreadEnv) {
   EXPECT_EQ(parse_thread_env("100000"), TaskPool::kMaxWorkers);
 }
 
-TEST(TaskPoolTest, ResolveThreadOption) {
-  ThreadCountGuard guard;
-  set_thread_count(3);
-  EXPECT_EQ(resolve_thread_option(0), 3);   // defer to policy
-  EXPECT_EQ(resolve_thread_option(-1), 3);  // defer to policy
-  EXPECT_EQ(resolve_thread_option(5), 5);   // explicit request wins
-  EXPECT_EQ(resolve_thread_option(TaskPool::kMaxWorkers + 7),
-            TaskPool::kMaxWorkers);
+// The scoped limit restores whatever override was in effect before it,
+// so nested limits unwind in order and the outermost one clears it.
+TEST(TaskPoolTest, ScopedThreadCountRestoresPreviousOverride) {
+  const int policy = thread_count();
+  {
+    const ScopedThreadCount outer(3);
+    EXPECT_EQ(thread_count(), 3);
+    {
+      const ScopedThreadCount inner(TaskPool::kMaxWorkers + 7);
+      EXPECT_EQ(thread_count(), TaskPool::kMaxWorkers);  // clamped
+    }
+    EXPECT_EQ(thread_count(), 3);
+    {
+      const ScopedThreadCount cleared(0);
+      EXPECT_EQ(thread_count(), policy);
+    }
+    EXPECT_EQ(thread_count(), 3);
+  }
+  EXPECT_EQ(thread_count(), policy);
 }
 
 TEST(TaskPoolTest, EveryIndexExactlyOnce) {
@@ -75,12 +79,11 @@ TEST(TaskPoolTest, SingleSlotRunsInlineOnCaller) {
   EXPECT_TRUE(slot_zero);
 }
 
-// APX_THREADS=1 is delivered through the same policy path as
-// set_thread_count(1) (thread_count() consults the override, then the
-// cached env parse): loops must degrade to the inline serial path.
+// APX_THREADS=1 is delivered through the same policy path as a limit of 1
+// (thread_count() consults the override, then the cached env parse):
+// loops must degrade to the inline serial path.
 TEST(TaskPoolTest, ThreadCountOneFallsBackToInline) {
-  ThreadCountGuard guard;
-  set_thread_count(1);
+  const ScopedThreadCount limit(1);
   EXPECT_EQ(thread_count(), 1);
   const std::thread::id caller = std::this_thread::get_id();
   bool on_caller = true;
@@ -130,41 +133,20 @@ TEST(TaskPoolTest, NestedSubmissionCompletes) {
   }
 }
 
-TEST(TaskPoolTest, ParallelMapOrdersResults) {
-  std::vector<int64_t> out = TaskPool::instance().parallel_map<int64_t>(
-      1000, [](int64_t i) { return i * i; }, /*max_slots=*/8);
-  ASSERT_EQ(out.size(), 1000u);
-  for (int64_t i = 0; i < 1000; ++i) ASSERT_EQ(out[i], i * i);
-}
-
-// The ordered reduction folds on the caller in index order, so even a
-// non-associative floating-point sum is bit-identical for any worker count.
-TEST(TaskPoolTest, ReduceOrderedBitIdenticalAcrossWorkerCounts) {
-  auto run = [&](int slots) {
-    return TaskPool::instance().reduce_ordered<double>(
-        4096, 0.0, [](int64_t i) { return 1.0 / static_cast<double>(i + 1); },
-        [](double a, double b) { return a + b; }, slots);
-  };
-  const double serial = run(1);
-  for (int slots : {2, 8}) {
-    double parallel = run(slots);
-    EXPECT_EQ(std::memcmp(&serial, &parallel, sizeof(double)), 0)
-        << "slots=" << slots;
-  }
-}
-
 // --- Bit-identity on the real consumers ---------------------------------
 
 TEST(TaskPoolDeterminism, AnalyzeReliabilityAcrossThreadCounts) {
   Network mapped = technology_map(quick_synthesis(make_benchmark("cmb")));
   ReliabilityOptions opt;
   opt.num_fault_samples = 300;
-  opt.num_threads = 1;
-  ReliabilityReport serial = analyze_reliability(mapped, opt);
+  auto run = [&](int threads) {
+    const ScopedThreadCount limit(threads);
+    return analyze_reliability(mapped, opt);
+  };
+  ReliabilityReport serial = run(1);
   ASSERT_GT(serial.runs, 0);
   for (int threads : {2, 8}) {
-    opt.num_threads = threads;
-    ReliabilityReport parallel = analyze_reliability(mapped, opt);
+    ReliabilityReport parallel = run(threads);
     ASSERT_EQ(parallel.outputs.size(), serial.outputs.size());
     for (size_t o = 0; o < serial.outputs.size(); ++o) {
       EXPECT_EQ(parallel.outputs[o].rate_0_to_1, serial.outputs[o].rate_0_to_1)
@@ -184,12 +166,14 @@ TEST(TaskPoolDeterminism, CedCoverageAcrossThreadCounts) {
   CedDesign ced = build_ced_design(mapped, mapped, dirs);
   CoverageOptions opt;
   opt.num_fault_samples = 300;
-  opt.num_threads = 1;
-  CoverageResult serial = evaluate_ced_coverage(ced, opt);
+  auto run = [&](int threads) {
+    const ScopedThreadCount limit(threads);
+    return evaluate_ced_coverage(ced, opt);
+  };
+  CoverageResult serial = run(1);
   ASSERT_GT(serial.runs, 0);
   for (int threads : {2, 8}) {
-    opt.num_threads = threads;
-    CoverageResult parallel = evaluate_ced_coverage(ced, opt);
+    CoverageResult parallel = run(threads);
     EXPECT_EQ(parallel.erroneous, serial.erroneous) << "threads " << threads;
     EXPECT_EQ(parallel.detected, serial.detected) << "threads " << threads;
     EXPECT_EQ(parallel.runs, serial.runs) << "threads " << threads;

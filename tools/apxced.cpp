@@ -10,21 +10,26 @@
 //   -t <threshold>   stage-1 significance threshold (default 0.2)
 //   -o <file>        output file for `synth` (BLIF/.bench/.pla by extension)
 //   --share          enable logic sharing (intrusive CED)
-//   --samples <n>    fault-injection samples (default 2000)
-//   --threads <n>    fault-simulation worker threads (default: all hardware
-//                    threads; results are bit-identical for any count)
+//   --samples <n>    fault-injection samples, n >= 1 (default 2000)
+//   --threads <n>    worker threads of the shared task pool, n >= 1
+//                    (default: APX_THREADS, else all hardware threads;
+//                    results are bit-identical for any count)
 //   --profile        print a per-phase wall-time / counter table to stderr
 //                    after the run (synth/ced)
 //   --trace <file>   write a Chrome-tracing JSON (chrome://tracing or
 //                    https://ui.perfetto.dev) of the run (synth/ced)
 //
-// Circuits are read by extension: .blif, .bench, .pla.
+// Circuits are read by extension: .blif, .bench, .pla. A malformed numeric
+// value exits 1 with a message naming its flag.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "core/pipeline.hpp"
+#include "core/task_pool.hpp"
 #include "core/trace.hpp"
 #include "mapping/optimize.hpp"
 #include "network/bench_format.hpp"
@@ -86,10 +91,19 @@ struct CommonArgs {
   std::string output;
   bool share = false;
   int samples = 2000;
-  int threads = 0;  // 0 = all hardware threads
   std::string trace_path;
   bool profile = false;
 };
+
+// `text` parsed whole by std::from_chars (no spaces, '+' or suffix).
+template <typename T>
+std::optional<T> parse_whole(const std::string& text) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
+}
 
 CommonArgs parse_common(int argc, char** argv, int start) {
   CommonArgs args;
@@ -101,16 +115,30 @@ CommonArgs parse_common(int argc, char** argv, int start) {
       }
       return argv[++i];
     };
+    auto need_count = [&](const std::string& flag) {
+      const std::string text = need_value(flag.c_str());
+      const std::optional<int> v = parse_whole<int>(text);
+      if (!v || *v < 1) {
+        throw std::runtime_error(flag + " needs a positive integer, got '" +
+                                 text + "'");
+      }
+      return *v;
+    };
     if (a == "-t") {
-      args.threshold = std::stod(need_value("-t"));
+      const std::string text = need_value("-t");
+      const std::optional<double> v = parse_whole<double>(text);
+      if (!v || !std::isfinite(*v)) {
+        throw std::runtime_error("-t needs a number, got '" + text + "'");
+      }
+      args.threshold = *v;
     } else if (a == "-o") {
       args.output = need_value("-o");
     } else if (a == "--share") {
       args.share = true;
     } else if (a == "--samples") {
-      args.samples = std::stoi(need_value("--samples"));
+      args.samples = need_count(a);
     } else if (a == "--threads") {
-      args.threads = std::stoi(need_value("--threads"));
+      set_thread_count(need_count(a));  // the pool's one worker limit
     } else if (a == "--trace") {
       args.trace_path = need_value("--trace");
     } else if (a == "--profile") {
@@ -138,9 +166,7 @@ PipelineOptions to_options(const CommonArgs& args) {
   PipelineOptions opt;
   opt.approx.significance_threshold = args.threshold;
   opt.reliability.num_fault_samples = args.samples;
-  opt.reliability.num_threads = args.threads;
   opt.coverage.num_fault_samples = args.samples;
-  opt.coverage.num_threads = args.threads;
   opt.logic_sharing = args.share;
   return opt;
 }
