@@ -132,7 +132,7 @@ CircuitRow run_circuit(const std::string& name) {
 
   watch = Stopwatch();
   aig::RewriteStats stats;
-  const aig::Aig rewritten = aig::rewrite(g, aig::RewriteOptions{}, &stats);
+  const aig::Aig rewritten = aig::rewrite(g, &stats);
   row.rewrite_seconds = watch.seconds();
   row.ands_after = stats.ands_after;
   row.and_reduction_pct =

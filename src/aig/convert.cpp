@@ -155,15 +155,14 @@ Network aig_to_network(const Aig& aig) {
   return net;
 }
 
-Network aig_quick_synthesis(const Network& net, const RewriteOptions& options,
-                            RewriteStats* stats) {
+Network aig_quick_synthesis(const Network& net, RewriteStats* stats) {
   trace::Span span("aig.quick_synthesis");
   trace::counter("aig.quick_synthesis_calls").add(1);
 
   const Aig aig = network_to_aig(net);
   RewriteStats local;
   RewriteStats* s = stats ? stats : &local;
-  const Aig rewritten = rewrite(aig, options, s);
+  const Aig rewritten = rewrite(aig, s);
   trace::counter("aig.rewrite_ands_saved")
       .add(s->ands_before - s->ands_after);
 

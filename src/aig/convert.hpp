@@ -27,7 +27,6 @@ Network aig_to_network(const Aig& aig);
 /// Quick synthesis through the AIG substrate: convert, DAG-aware cut
 /// rewriting, convert back, cleanup. PIs/POs preserved.
 Network aig_quick_synthesis(const Network& net,
-                            const RewriteOptions& options = {},
                             RewriteStats* stats = nullptr);
 
 }  // namespace apx::aig

@@ -7,7 +7,7 @@
 // leaf space, complemented edges folded into the child table).
 //
 // The full cut set is exponential, so this is *priority* enumeration in
-// the standard style: per node, keep only the `max_cuts` best cuts under a
+// the standard style: per node, keep only the `kMaxCuts` best cuts under a
 // (size, lexicographic-leaves) order, and always keep the trivial cut {n}
 // so every node has at least one cut and enumeration never starves
 // upstream. With k ≤ 4 each truth table is a single uint16 over the cut's
@@ -24,6 +24,8 @@
 namespace apx::aig {
 
 inline constexpr int kMaxCutSize = 4;
+/// Cuts kept per node, including the trivial cut.
+inline constexpr int kMaxCuts = 8;
 
 struct Cut {
   std::array<uint32_t, kMaxCutSize> leaves{};  ///< sorted node ids
@@ -31,10 +33,6 @@ struct Cut {
   /// Function of the leaves (leaf i = variable i), always stored as a full
   /// 4-variable table: variables >= size are replicated don't-cares.
   uint16_t tt = 0;
-};
-
-struct CutOptions {
-  int max_cuts = 8;  ///< cuts kept per node (including the trivial cut)
 };
 
 struct CutSet {
@@ -45,6 +43,6 @@ struct CutSet {
 };
 
 /// Enumerates priority cuts for every node, in one ascending-id pass.
-CutSet enumerate_cuts(const Aig& aig, const CutOptions& options = {});
+CutSet enumerate_cuts(const Aig& aig);
 
 }  // namespace apx::aig

@@ -216,13 +216,15 @@ Lit RewriteDb::instantiate(Aig* dst, const Entry& e, const Lit slot_lits[4]) {
 
 namespace {
 
+// Rewriting repeats until a pass gains nothing, capped at this many passes.
+constexpr int kMaxPasses = 4;
+
 /// One rewriting pass: pick the cheapest cut implementation per node under
 /// area flow, then materialize only the chosen cover into a fresh AIG.
-Aig rewrite_pass(const Aig& src, const CutOptions& cut_options,
-                 size_t* cuts_enumerated) {
+Aig rewrite_pass(const Aig& src, size_t* cuts_enumerated) {
   const NpnTable& npn = NpnTable::instance();
   const RewriteDb& db = RewriteDb::instance();
-  const CutSet cs = enumerate_cuts(src, cut_options);
+  const CutSet cs = enumerate_cuts(src);
   *cuts_enumerated += cs.total_enumerated;
 
   // Fanout references — the sharing denominator of area flow. Counted over
@@ -316,8 +318,7 @@ Aig rewrite_pass(const Aig& src, const CutOptions& cut_options,
 
 }  // namespace
 
-Aig rewrite(const Aig& src, const RewriteOptions& options,
-            RewriteStats* stats) {
+Aig rewrite(const Aig& src, RewriteStats* stats) {
   RewriteStats local;
   RewriteStats* s = stats ? stats : &local;
   *s = RewriteStats{};
@@ -325,8 +326,8 @@ Aig rewrite(const Aig& src, const RewriteOptions& options,
 
   Aig result = src;
   int current = s->ands_before;
-  for (int pass = 0; pass < options.max_passes; ++pass) {
-    Aig next = rewrite_pass(result, options.cuts, &s->cuts_enumerated);
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
+    Aig next = rewrite_pass(result, &s->cuts_enumerated);
     const int next_ands = next.count_reachable_ands();
     ++s->passes;
     if (next_ands >= current) break;  // pass guard: never accept a regression

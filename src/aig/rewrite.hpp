@@ -58,11 +58,6 @@ class RewriteDb {
   std::vector<int32_t> index_;  ///< canon -> entries_ index, -1 if not canon
 };
 
-struct RewriteOptions {
-  int max_passes = 4;  ///< rewriting repeats until no gain, capped here
-  CutOptions cuts;
-};
-
 struct RewriteStats {
   int passes = 0;
   int ands_before = 0;  ///< reachable ANDs entering the first pass
@@ -73,7 +68,6 @@ struct RewriteStats {
 /// Rewrites `src` into a (reachable-)AND-minimized equivalent AIG. PI/PO
 /// count, names, and order are preserved. Never returns a worse graph:
 /// each pass is guarded and the source is kept when a pass does not help.
-Aig rewrite(const Aig& src, const RewriteOptions& options = {},
-            RewriteStats* stats = nullptr);
+Aig rewrite(const Aig& src, RewriteStats* stats = nullptr);
 
 }  // namespace apx::aig

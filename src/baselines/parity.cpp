@@ -1,5 +1,6 @@
 #include "baselines/parity.hpp"
 
+#include "mapping/mapper.hpp"
 #include "mapping/optimize.hpp"
 
 namespace apx {
@@ -22,10 +23,9 @@ NodeId xor_tree(Network& net, std::vector<NodeId> sigs) {
 
 }  // namespace
 
-Network build_parity_predictor(const Network& mapped,
-                               const ParityOptions& options) {
+Network build_parity_predictor(const Network& mapped) {
   // Predictor = copy of the circuit + XOR tree over its outputs, collapsed
-  // to a single PO, then optionally re-optimized and re-mapped.
+  // to a single PO, then re-optimized and re-mapped.
   Network pred;
   pred.set_name(mapped.name() + "_parity_pred");
   std::vector<NodeId> pi_map;
@@ -39,13 +39,11 @@ Network build_parity_predictor(const Network& mapped,
   }
   pred.add_po("parity", xor_tree(pred, std::move(outs)));
   pred.cleanup();
-  if (options.optimize_predictor) pred = quick_synthesis(pred);
-  return technology_map(pred, options.map_options);
+  return technology_map(quick_synthesis(pred));
 }
 
-CedDesign build_parity_ced(const Network& mapped,
-                           const ParityOptions& options) {
-  Network predictor = build_parity_predictor(mapped, options);
+CedDesign build_parity_ced(const Network& mapped) {
+  Network predictor = build_parity_predictor(mapped);
 
   CedDesign ced;
   ced.design.set_name(mapped.name() + "_parity_ced");

@@ -7,27 +7,17 @@
 #pragma once
 
 #include "core/ced.hpp"
-#include "mapping/mapper.hpp"
 #include "network/network.hpp"
 
 namespace apx {
 
-struct ParityOptions {
-  /// Library/script used to map the predictor (XOR trees decompose into
-  /// the library's gates).
-  MapOptions map_options;
-  /// Run quick synthesis on the predictor cone before mapping.
-  bool optimize_predictor = true;
-};
-
 /// Builds the parity-prediction CED design around a mapped circuit.
-CedDesign build_parity_ced(const Network& mapped,
-                           const ParityOptions& options = {});
+CedDesign build_parity_ced(const Network& mapped);
 
 /// The standalone parity-predictor network (single PO = XOR of all POs),
-/// mapped with the given options. Exposed for delay studies (paper: parity
-/// prediction lengthens the critical path by ~51%).
-Network build_parity_predictor(const Network& mapped,
-                               const ParityOptions& options = {});
+/// quick-synthesized and mapped with the default library (its XOR trees
+/// decompose into the library's gates). Exposed for delay studies (paper:
+/// parity prediction lengthens the critical path by ~51%).
+Network build_parity_predictor(const Network& mapped);
 
 }  // namespace apx

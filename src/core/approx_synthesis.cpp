@@ -13,6 +13,10 @@
 namespace apx {
 namespace {
 
+// Repair rounds per incorrect PO before the guaranteed exact-selection
+// fallback.
+constexpr int kMaxRepairRounds = 12;
+
 // The node's SOP written in the phase matching its type: off-set (zero
 // phase) for type-0 nodes, on-set otherwise (paper Sec. 2.1.2).
 Sop phase_sop_of(const Sop& onset, NodeType t) {
@@ -43,7 +47,7 @@ class SynthesisEngine {
       : net_(net),
         directions_(directions),
         options_(options),
-        obs_(net, options.type_options.sim_words, options.type_options.seed),
+        obs_(net, options.type_options.sim_words),
         approx_(net),
         view_(net.topology()) {}
 
@@ -227,7 +231,9 @@ class SynthesisEngine {
       const Node& n = net_.node(id);
       if (n.kind != NodeKind::kLogic) continue;
       NodeType t = type_of(id);
-      if (t == NodeType::kEx && !options_.reduce_ex_nodes) continue;
+      // Type-EX nodes stay exact: the paper reduces every node, but the
+      // repair stage would undo almost every EX reduction.
+      if (t == NodeType::kEx) continue;
       Sop phase = phase_sop_of(n.sop, t);
       std::vector<double> probs = fanin_probs(id);
 
@@ -613,7 +619,7 @@ class SynthesisEngine {
       oracle.refresh_approx();
       return oracle.verify(po, directions_[po]);
     };
-    for (int round = 0; round < options_.max_repair_rounds; ++round) {
+    for (int round = 0; round < kMaxRepairRounds; ++round) {
       if (oracle.verify(po, directions_[po])) return true;
       if (!oracle.using_bdds() && oracle.last_counterexample().empty()) {
         // The SAT query hit its conflict budget (no counterexample to guide

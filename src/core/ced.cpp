@@ -177,8 +177,10 @@ CoverageResult evaluate_ced_coverage(const CedDesign& ced,
   return result;
 }
 
-OverheadReport measure_overheads(const CedDesign& ced, int sim_words,
-                                 uint64_t seed) {
+OverheadReport measure_overheads(const CedDesign& ced) {
+  // Random patterns behind the switching-activity (power) estimates.
+  constexpr int kActivityWords = 128;
+  constexpr uint64_t kActivitySeed = 0x9AC7;
   trace::Span span("ced.overheads");
   OverheadReport report;
   report.functional_area = ced.functional_area();
@@ -187,7 +189,8 @@ OverheadReport measure_overheads(const CedDesign& ced, int sim_words,
   report.overhead_area = ced.overhead_area();
 
   Simulator sim(ced.design);
-  sim.run(PatternSet::random(ced.design.num_pis(), sim_words, seed));
+  sim.run(
+      PatternSet::random(ced.design.num_pis(), kActivityWords, kActivitySeed));
   for (NodeId id : ced.functional_nodes) {
     report.functional_activity += sim.switching_activity(id);
   }

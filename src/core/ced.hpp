@@ -138,7 +138,6 @@ struct OverheadReport {
   }
 };
 
-OverheadReport measure_overheads(const CedDesign& ced, int sim_words = 128,
-                                 uint64_t seed = 0x9AC7);
+OverheadReport measure_overheads(const CedDesign& ced);
 
 }  // namespace apx

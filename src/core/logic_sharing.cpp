@@ -12,6 +12,14 @@
 namespace apx {
 namespace {
 
+// Simulation words and seed for candidate signatures.
+constexpr int kSignatureWords = 64;
+constexpr uint64_t kSignatureSeed = 0x5A4E;
+// SAT conflict budget per equivalence proof (kUnknown => not merged).
+constexpr int64_t kSatConflictBudget = 20000;
+// Pattern words per fault used to estimate a node's error contribution.
+constexpr int kCriticalityWords = 8;
+
 uint64_t signature_of(const WordSpan& words) {
   uint64_t h = 0x9E3779B97F4A7C15ULL;
   for (uint64_t w : words) {
@@ -37,7 +45,7 @@ SharingReport apply_logic_sharing(CedDesign& ced,
 
   Network& net = ced.design;
   Simulator sim(net);
-  sim.run(PatternSet::random(net.num_pis(), options.sim_words, options.seed));
+  sim.run(PatternSet::random(net.num_pis(), kSignatureWords, kSignatureSeed));
 
   // Candidate index: signature -> functional nodes.
   std::unordered_multimap<uint64_t, NodeId> by_sig;
@@ -67,7 +75,7 @@ SharingReport apply_logic_sharing(CedDesign& ced,
       solver.add_ternary(~lt, ~lc, ~lf);
       solver.add_ternary(lt, ~lc, lf);
       solver.add_ternary(lt, lc, ~lf);
-      SatResult r = solver.solve({lt}, options.sat_conflict_budget);
+      SatResult r = solver.solve({lt}, kSatConflictBudget);
       if (r == SatResult::kUnsat) {
         provable.push_back({c, f});
         break;
@@ -93,12 +101,12 @@ SharingReport apply_logic_sharing(CedDesign& ced,
       faults.push_back(FaultSpec::stuck_at(f, false));
       faults.push_back(FaultSpec::stuck_at(f, true));
     }
-    const int W = options.criticality_words;
+    const int W = kCriticalityWords;
     std::vector<int64_t> fault_mass(faults.size(), 0);
     std::vector<std::vector<uint64_t>> err_rows(thread_count());
     FaultSimEngine engine(net);
     engine.run_batch(
-        PatternSet::random(net.num_pis(), W, options.seed ^ 0xC417), faults,
+        PatternSet::random(net.num_pis(), W, kSignatureSeed ^ 0xC417), faults,
         [&](int i, const FaultSpec&, const FaultView& v) {
           std::vector<uint64_t>& err = err_rows[v.worker_slot()];
           err.assign(static_cast<size_t>(W), 0);

@@ -16,7 +16,7 @@ int TypeAssignment::count(NodeType t) const {
 TypeAssignment assign_types(const Network& net,
                             const std::vector<ApproxDirection>& directions,
                             const TypeAssignmentOptions& options) {
-  ObservabilityAnalysis obs(net, options.sim_words, options.seed);
+  ObservabilityAnalysis obs(net, options.sim_words);
   return assign_types(net, directions, obs, options);
 }
 

@@ -19,9 +19,9 @@ struct TypeAssignmentOptions {
   /// If max(obs0, obs1) / min(obs0, obs1) exceeds this, the dominant phase
   /// is requested (rule ii); otherwise EX is requested (rule iii).
   double phase_ratio = 2.0;
-  /// Simulation words used for the observability analysis.
+  /// Simulation words used for the observability analysis (its patterns
+  /// come from ObservabilityAnalysis's default seed).
   int sim_words = 64;
-  uint64_t seed = 0x0B5E11;
 
   /// When true, a type-EX node requests type EX for every fanin it depends
   /// on. That is the premise under which the paper's composition theorem

@@ -9,6 +9,33 @@
 #include "sim/simulator.hpp"
 
 namespace apx {
+namespace {
+
+// Random patterns behind the sampled approximation percentage once the BDDs
+// overflow their budget.
+constexpr int kFallbackWords = 512;
+constexpr uint64_t kFallbackSeed = 0xA99C0;
+
+// Sampled approximation percentage of g against f over the same patterns:
+// |f & g| / |f| for 1-approximations, |~f & ~g| / |~f| for 0-approximations.
+double sampled_approximation_pct(const WordSpan& fw, const WordSpan& gw,
+                                 ApproxDirection direction) {
+  const int W = fw.num_words();
+  int64_t denom, num;
+  if (direction == ApproxDirection::kOneApprox) {
+    denom = popcount_words(fw.data(), W, ~0ULL);
+    num = popcount_and(fw.data(), gw.data(), W, ~0ULL);
+  } else {
+    // Off-set counts via complements: popcount(~f) = 64W - popcount(f),
+    // and popcount(~f & ~g) = popcount(~f) - popcount(~f & g).
+    denom = 64ll * W - popcount_words(fw.data(), W, ~0ULL);
+    num = denom - popcount_andnot(fw.data(), gw.data(), W, ~0ULL);
+  }
+  return denom > 0 ? static_cast<double>(num) / static_cast<double>(denom)
+                   : 1.0;
+}
+
+}  // namespace
 
 bool implication_holds_for(ApproxDirection d, bool g_implies_f,
                            bool f_implies_g) {
@@ -29,7 +56,6 @@ struct ApproxOracleState {
   // Shared simulation for percentage estimates.
   std::optional<Simulator> sim_orig;
   std::optional<Simulator> sim_approx;
-  int sim_words = 0;
 };
 
 ApproxOracle::ApproxOracle(const Network& original, const Network& approx,
@@ -333,8 +359,7 @@ bool ApproxOracle::verify(int po, ApproxDirection direction) {
   return false;
 }
 
-double ApproxOracle::approximation_pct(int po, ApproxDirection direction,
-                                       int fallback_words) {
+double ApproxOracle::approximation_pct(int po, ApproxDirection direction) {
   // Without BDDs, rebuild once if a fresh oracle's build could succeed:
   // after a query-time overflow dropped them (no build failed), or when the
   // last failed build overflowed on the approx side of a network that has
@@ -362,33 +387,19 @@ double ApproxOracle::approximation_pct(int po, ApproxDirection direction,
   }
   // Sampled estimate over shared random patterns (simulators are cached:
   // the original's never changes, the approx side resets on refresh).
-  if (!state_->sim_orig.has_value() || state_->sim_words != fallback_words) {
+  if (!state_->sim_orig.has_value()) {
     state_->sim_orig.emplace(original_);
     state_->sim_orig->run(
-        PatternSet::random(original_.num_pis(), fallback_words, 0xA99C0));
-    state_->sim_words = fallback_words;
-    state_->sim_approx.reset();
+        PatternSet::random(original_.num_pis(), kFallbackWords, kFallbackSeed));
   }
   if (!state_->sim_approx.has_value()) {
     state_->sim_approx.emplace(approx_);
     state_->sim_approx->run(
-        PatternSet::random(approx_.num_pis(), fallback_words, 0xA99C0));
+        PatternSet::random(approx_.num_pis(), kFallbackWords, kFallbackSeed));
   }
-  const auto& fw = state_->sim_orig->value(original_.po(po).driver);
-  const auto& gw = state_->sim_approx->value(approx_.po(po).driver);
-  const int W = fw.num_words();
-  int64_t denom, num;
-  if (direction == ApproxDirection::kOneApprox) {
-    denom = popcount_words(fw.data(), W, ~0ULL);
-    num = popcount_and(fw.data(), gw.data(), W, ~0ULL);
-  } else {
-    // Off-set counts via complements: popcount(~f) = 64W - popcount(f),
-    // and popcount(~f & ~g) = popcount(~f) - popcount(~f & g).
-    denom = 64ll * W - popcount_words(fw.data(), W, ~0ULL);
-    num = denom - popcount_andnot(fw.data(), gw.data(), W, ~0ULL);
-  }
-  return denom > 0 ? static_cast<double>(num) / static_cast<double>(denom)
-                   : 1.0;
+  return sampled_approximation_pct(
+      state_->sim_orig->value(original_.po(po).driver),
+      state_->sim_approx->value(approx_.po(po).driver), direction);
 }
 
 double weighted_approximation_percentage(const Network& original,
@@ -401,19 +412,9 @@ double weighted_approximation_percentage(const Network& original,
   PatternSet patterns = PatternSet::biased(pi_probs, words, seed);
   sim_f.run(patterns);
   sim_g.run(patterns);
-  const auto& fw = sim_f.value(original.po(po).driver);
-  const auto& gw = sim_g.value(approx.po(po).driver);
-  const int W = fw.num_words();
-  int64_t denom, num;
-  if (direction == ApproxDirection::kOneApprox) {
-    denom = popcount_words(fw.data(), W, ~0ULL);
-    num = popcount_and(fw.data(), gw.data(), W, ~0ULL);
-  } else {
-    denom = 64ll * W - popcount_words(fw.data(), W, ~0ULL);
-    num = denom - popcount_andnot(fw.data(), gw.data(), W, ~0ULL);
-  }
-  return denom > 0 ? static_cast<double>(num) / static_cast<double>(denom)
-                   : 1.0;
+  return sampled_approximation_pct(sim_f.value(original.po(po).driver),
+                                   sim_g.value(approx.po(po).driver),
+                                   direction);
 }
 
 bool verify_po_approximation(const Network& original, const Network& approx,
@@ -425,10 +426,9 @@ bool verify_po_approximation(const Network& original, const Network& approx,
 
 double approximation_percentage(const Network& original,
                                 const Network& approx, int po,
-                                ApproxDirection direction, size_t bdd_budget,
-                                int fallback_words) {
+                                ApproxDirection direction, size_t bdd_budget) {
   ApproxOracle oracle(original, approx, bdd_budget);
-  return oracle.approximation_pct(po, direction, fallback_words);
+  return oracle.approximation_pct(po, direction);
 }
 
 }  // namespace apx

@@ -53,8 +53,9 @@ class ApproxOracle {
 
   /// Fraction of the protected minterm space covered (paper Sec. 2):
   /// |G|/|F| for 1-approximations, |~G|/|~F| for 0-approximations.
-  double approximation_pct(int po, ApproxDirection direction,
-                           int fallback_words = 512);
+  /// Exact while the BDDs fit the budget; otherwise sampled over one
+  /// fixed random pattern set.
+  double approximation_pct(int po, ApproxDirection direction);
 
   /// Brings the oracle up to date after the approx network was mutated.
   /// Re-derives only the cones downstream of the mutated nodes (O(changed
@@ -166,8 +167,7 @@ bool verify_po_approximation(const Network& original, const Network& approx,
 double approximation_percentage(const Network& original,
                                 const Network& approx, int po,
                                 ApproxDirection direction,
-                                size_t bdd_budget = 1u << 18,
-                                int fallback_words = 512);
+                                size_t bdd_budget = 1u << 18);
 
 /// Input-weighted approximation percentage (paper Sec. 2: "each minterm
 /// covered by the approximate function must be appropriately weighted by

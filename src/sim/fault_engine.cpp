@@ -1,7 +1,6 @@
 #include "sim/fault_engine.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -146,31 +145,7 @@ void FaultSimEngine::simulate_golden(
     batches.add(1);
     words.add(patterns.num_words());
   }
-  const int W = num_words_;
-  for (int i = 0; i < net_.num_pis(); ++i) {
-    std::memcpy(golden.row(net_.pis()[i]), patterns.column(i).data(),
-                sizeof(uint64_t) * W);
-  }
-  for (NodeId id : view_->topo()) {
-    const Node& n = net_.node(id);
-    uint64_t* out = golden.row(id);
-    switch (n.kind) {
-      case NodeKind::kPi:
-        break;
-      case NodeKind::kConst0:
-        std::fill(out, out + W, 0ULL);
-        break;
-      case NodeKind::kConst1:
-        std::fill(out, out + W, ~0ULL);
-        break;
-      case NodeKind::kLogic: {
-        fanin.clear();
-        for (NodeId f : n.fanins) fanin.push_back(golden.row(f));
-        eval_sop_words(n.sop, fanin.data(), W, out);
-        break;
-      }
-    }
-  }
+  fill_golden_plane(net_, *view_, patterns, golden, fanin);
 }
 
 // The one injection walk: seeds every site's row, then re-evaluates the

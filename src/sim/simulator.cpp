@@ -91,9 +91,9 @@ PatternSet PatternSet::exhaustive(int num_pis) {
       }
     }
   }
-  // For fewer than 64 patterns the tail bits replicate pattern 0; that is
-  // harmless for counting if callers scale by num_patterns, so we instead
-  // replicate the full pattern block to keep probabilities exact.
+  // For fewer than 64 patterns the tail bits would all replicate pattern 0
+  // and skew every whole-word count, so the full pattern block is repeated
+  // instead to keep probabilities exact.
   if (total < 64) {
     for (uint64_t m = total; m < 64; ++m) {
       uint64_t src = m % total;
@@ -105,6 +105,36 @@ PatternSet PatternSet::exhaustive(int num_pis) {
     }
   }
   return p;
+}
+
+void fill_golden_plane(const Network& net, const TopologyView& view,
+                       const PatternSet& patterns, ValueArena& plane,
+                       std::vector<const uint64_t*>& fanin) {
+  const int W = patterns.num_words();
+  for (int i = 0; i < net.num_pis(); ++i) {
+    std::memcpy(plane.row(net.pis()[i]), patterns.column(i).data(),
+                sizeof(uint64_t) * W);
+  }
+  for (NodeId id : view.topo()) {
+    const Node& n = net.node(id);
+    uint64_t* out = plane.row(id);
+    switch (n.kind) {
+      case NodeKind::kPi:
+        break;
+      case NodeKind::kConst0:
+        std::memset(out, 0, sizeof(uint64_t) * W);
+        break;
+      case NodeKind::kConst1:
+        std::memset(out, 0xFF, sizeof(uint64_t) * W);
+        break;
+      case NodeKind::kLogic: {
+        fanin.clear();
+        for (NodeId f : n.fanins) fanin.push_back(plane.row(f));
+        eval_sop_words(n.sop, fanin.data(), W, out);
+        break;
+      }
+    }
+  }
 }
 
 Simulator::Simulator(const Network& net)
@@ -121,32 +151,8 @@ void Simulator::run(const PatternSet& patterns) {
                  golden_.rows() != net_.num_nodes();
   num_words_ = patterns.num_words();
   if (reshape) golden_.reset(net_.num_nodes(), num_words_);
-  for (int i = 0; i < net_.num_pis(); ++i) {
-    std::memcpy(golden_.row(net_.pis()[i]), patterns.column(i).data(),
-                sizeof(uint64_t) * num_words_);
-  }
   std::vector<const uint64_t*> fanin;
-  for (NodeId id : view_->topo()) {
-    const Node& n = net_.node(id);
-    uint64_t* out = golden_.row(id);
-    switch (n.kind) {
-      case NodeKind::kPi:
-        break;
-      case NodeKind::kConst0:
-        std::memset(out, 0, sizeof(uint64_t) * num_words_);
-        break;
-      case NodeKind::kConst1:
-        std::memset(out, 0xFF, sizeof(uint64_t) * num_words_);
-        break;
-      case NodeKind::kLogic: {
-        fanin.clear();
-        fanin.reserve(n.fanins.size());
-        for (NodeId f : n.fanins) fanin.push_back(golden_.row(f));
-        eval_sop_words(n.sop, fanin.data(), num_words_, out);
-        break;
-      }
-    }
-  }
+  fill_golden_plane(net_, *view_, patterns, golden_, fanin);
 }
 
 double Simulator::signal_probability(NodeId id) const {
@@ -157,16 +163,6 @@ double Simulator::signal_probability(NodeId id) const {
 double Simulator::switching_activity(NodeId id) const {
   double p = signal_probability(id);
   return 2.0 * p * (1.0 - p);
-}
-
-double Simulator::total_activity() const {
-  double total = 0.0;
-  for (NodeId id = 0; id < net_.num_nodes(); ++id) {
-    if (net_.node(id).kind == NodeKind::kLogic) {
-      total += switching_activity(id);
-    }
-  }
-  return total;
 }
 
 }  // namespace apx

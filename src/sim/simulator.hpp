@@ -47,7 +47,6 @@ class PatternSet {
 
   int num_pis() const { return num_pis_; }
   int num_words() const { return bits_.words(); }
-  int num_patterns() const { return bits_.words() * 64; }
 
   uint64_t word(int pi, int w) const { return bits_.row(pi)[w]; }
   void set_word(int pi, int w, uint64_t value) { bits_.row(pi)[w] = value; }
@@ -57,6 +56,16 @@ class PatternSet {
   int num_pis_;
   ValueArena bits_;
 };
+
+/// Fault-free simulation of `net` under `patterns` into `plane`, which has
+/// one row per node of at least patterns.num_words() words: PI rows are
+/// copied from the patterns and every other node is evaluated in `view`'s
+/// topological order. `fanin` is the caller's scratch for fanin row
+/// pointers. The one golden-plane fill shared by Simulator and
+/// FaultSimEngine.
+void fill_golden_plane(const Network& net, const TopologyView& view,
+                       const PatternSet& patterns, ValueArena& plane,
+                       std::vector<const uint64_t*>& fanin);
 
 /// Bit-parallel fault-free simulator over a network. The
 /// simulator may outlive mutations of the network: run() re-evaluates every
@@ -86,10 +95,6 @@ class Simulator {
   /// Switching activity 2*p*(1-p) of a node under the temporal-independence
   /// model for uniformly random vectors.
   double switching_activity(NodeId id) const;
-
-  /// Total switching activity over logic nodes ("power" in the paper's
-  /// Table 2 metric).
-  double total_activity() const;
 
   const Network& network() const { return net_; }
 

@@ -6,6 +6,10 @@
 namespace apx {
 namespace {
 
+// REDUCE/EXPAND/IRREDUNDANT refinements after the first EXPAND; each one is
+// kept only if it shrinks the cover.
+constexpr int kRefineIterations = 1;
+
 // Greedy literal removal: try to free each bound literal of `c`; keep the
 // removal if the enlarged cube still does not intersect any offset cube.
 Cube expand_cube(Cube c, const Sop& offset) {
@@ -102,7 +106,7 @@ Sop irredundant(const Sop& cover, const Sop& dc) {
   return result;
 }
 
-Sop minimize(const Sop& onset, const Sop& dc, const MinimizeOptions& options) {
+Sop minimize(const Sop& onset, const Sop& dc) {
   assert(onset.num_vars() == dc.num_vars());
   Sop care = Sop::disjunction(onset, dc);
   Sop offset = Sop::complement(care);
@@ -116,7 +120,7 @@ Sop minimize(const Sop& onset, const Sop& dc, const MinimizeOptions& options) {
   Sop rest(cover.num_vars());
   for (const Cube& d : dc.cubes()) rest.add_cube(d);
   const int dc_prefix = rest.num_cubes();
-  for (int iter = 0; iter < options.refine_iterations; ++iter) {
+  for (int iter = 0; iter < kRefineIterations; ++iter) {
     // REDUCE / EXPAND / IRREDUNDANT refinement.
     Sop reduced(cover.num_vars());
     for (int i = 0; i < cover.num_cubes(); ++i) {

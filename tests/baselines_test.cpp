@@ -5,6 +5,7 @@
 
 #include "benchmarks/benchmarks.hpp"
 #include "core/task_pool.hpp"
+#include "mapping/mapper.hpp"
 #include "mapping/optimize.hpp"
 #include "sim/simulator.hpp"
 

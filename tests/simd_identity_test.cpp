@@ -213,7 +213,9 @@ TEST_F(SimdIdentityTest, SynthesisResultsAreIdenticalAcrossTiers) {
   std::vector<ApproxDirection> dirs(net.num_pos(),
                                     ApproxDirection::kZeroApprox);
   ApproxOptions options;
-  options.sim_words = 9;  // odd: prescreen planes cross every tail path
+  // 9 = 8 + 1 words: the observability planes and their popcounts cross
+  // every vector stride's tail path.
+  options.type_options.sim_words = 9;
 
   std::optional<std::string> reference;
   std::optional<int> reference_repairs;
