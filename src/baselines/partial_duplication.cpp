@@ -12,24 +12,15 @@
 namespace apx {
 namespace {
 
-CampaignOptions campaign_options(const PartialDuplicationOptions& options,
-                                 uint64_t seed) {
-  CampaignOptions copt;
-  copt.num_fault_samples = options.num_fault_samples;
-  copt.words_per_fault = options.words_per_fault;
-  copt.faults_per_batch = options.faults_per_batch;
-  copt.seed = seed;
-  return copt;
-}
-
 // Runs one selection campaign over the logic nodes `sites` under the
-// configured fault model. The single-stuck-at draw picks one of the 2N
-// (node, polarity) pairs, pair k being node k / 2 stuck at k & 1.
+// configured fault model, with its own seed. The single-stuck-at draw
+// picks one of the 2N (node, polarity) pairs, pair k being node k / 2
+// stuck at k & 1.
 void run_model_campaign(FaultSimEngine& engine,
                         const std::vector<NodeId>& sites,
-                        const PartialDuplicationOptions& options,
-                        uint64_t seed, const FaultSimEngine::Visitor& visit) {
-  CampaignOptions copt = campaign_options(options, seed);
+                        CampaignOptions options, uint64_t seed,
+                        const FaultSimEngine::Visitor& visit) {
+  options.seed = seed;
   FaultSimEngine::Sampler sampler;
   if (options.model == FaultModel::kSingleStuckAt) {
     sampler = [&sites](uint64_t sample_seed) {
@@ -38,12 +29,9 @@ void run_model_campaign(FaultSimEngine& engine,
       return FaultSpec::stuck_at(sites[k / 2], (k & 1) != 0);
     };
   } else {
-    copt.model = options.model;
-    copt.sites_per_fault = options.sites_per_fault;
-    copt.burst_vectors = options.burst_vectors;
-    sampler = FaultSimEngine::make_sampler(options.model, sites, copt);
+    sampler = FaultSimEngine::make_sampler(sites, options);
   }
-  engine.run_campaign(copt, sampler, visit);
+  engine.run_campaign(options, sampler, visit);
 }
 
 // For POs ordered by rank, returns hist[k] = number of runs whose first

@@ -12,23 +12,15 @@
 
 namespace apx {
 
-struct PartialDuplicationOptions {
-  /// Fault-injection budget for ranking outputs / estimating coverage.
-  int num_fault_samples = 1000;
-  int words_per_fault = 4;
-  /// Fault model driving both selection campaigns (output ranking and
-  /// prefix coverage). kSingleStuckAt draws one of the 2N (logic node,
-  /// polarity) pairs; the other models use the engine's stock samplers
-  /// over the logic nodes.
-  FaultModel model = FaultModel::kSingleStuckAt;
-  /// Simultaneous stuck-at sites per sample under kMultiStuckAt.
-  int sites_per_fault = 2;
-  /// Forced vector-window length under kTransientBurst.
-  int burst_vectors = 16;
-  /// Fault samples amortizing one shared golden simulation in the
-  /// FaultSimEngine (see src/sim/fault_engine.hpp).
-  int faults_per_batch = 64;
-  uint64_t seed = 0xD0B1;
+/// Campaign knobs (sim/fault_engine.hpp) of both selection campaigns
+/// (output ranking and prefix coverage). Under kSingleStuckAt they draw one
+/// of the 2N (logic node, polarity) pairs; the other models use the
+/// engine's stock samplers over the logic nodes.
+struct PartialDuplicationOptions : CampaignOptions {
+  PartialDuplicationOptions() {
+    num_fault_samples = 1000;
+    seed = 0xD0B1;
+  }
 };
 
 struct PartialDuplicationResult {

@@ -17,6 +17,23 @@ namespace {
 // fallback.
 constexpr int kMaxRepairRounds = 12;
 
+// Patterns of one word on which the approximate value g breaks the type
+// contract with the original value f: g must imply f for a type-1 node,
+// be implied by f for a type-0 node, and equal it for a type-EX node.
+uint64_t violation_bits(NodeType t, uint64_t f, uint64_t g) {
+  switch (t) {
+    case NodeType::kDc:
+      return 0;
+    case NodeType::kEx:
+      return f ^ g;
+    case NodeType::kOne:
+      return g & ~f;
+    case NodeType::kZero:
+      return f & ~g;
+  }
+  return 0;
+}
+
 // The node's SOP written in the phase matching its type: off-set (zero
 // phase) for type-0 nodes, on-set otherwise (paper Sec. 2.1.2).
 Sop phase_sop_of(const Sop& onset, NodeType t) {
@@ -480,21 +497,8 @@ class SynthesisEngine {
         const auto& fw = sim_orig.value(id);
         const auto& gw = sim_approx.value(id);
         uint64_t violation = 0;
-        for (int w = 0; w < words; ++w) {
-          switch (type_of(id)) {
-            case NodeType::kDc:
-              break;
-            case NodeType::kEx:
-              violation |= fw[w] ^ gw[w];
-              break;
-            case NodeType::kOne:
-              violation |= gw[w] & ~fw[w];
-              break;
-            case NodeType::kZero:
-              violation |= fw[w] & ~gw[w];
-              break;
-          }
-          if (violation) break;
+        for (int w = 0; w < words && violation == 0; ++w) {
+          violation = violation_bits(type_of(id), fw[w], gw[w]);
         }
         correct[id] = violation == 0;
       }
@@ -534,20 +538,9 @@ class SynthesisEngine {
       sim_orig.run(patterns);
       sim_approx.run(patterns);
 
-      auto violation_of = [&](NodeId id, NodeType t, int w) -> uint64_t {
-        uint64_t f = sim_orig.value(id)[w];
-        uint64_t g = sim_approx.value(id)[w];
-        switch (t) {
-          case NodeType::kDc:
-            return 0;
-          case NodeType::kEx:
-            return f ^ g;
-          case NodeType::kOne:
-            return g & ~f;
-          case NodeType::kZero:
-            return f & ~g;
-        }
-        return 0;
+      auto violation_of = [&](NodeId id, NodeType t, int w) {
+        return violation_bits(t, sim_orig.value(id)[w],
+                              sim_approx.value(id)[w]);
       };
 
       // PO-level failures first: a node-level violation that never shows at

@@ -122,15 +122,6 @@ CoverageResult evaluate_ced_coverage(const CedDesign& ced,
     return result;
   }
   FaultSimEngine engine(ced.design);
-  CampaignOptions copt;
-  copt.num_fault_samples = options.num_fault_samples;
-  copt.words_per_fault = options.words_per_fault;
-  copt.vectors_per_fault = options.vectors_per_fault;
-  copt.faults_per_batch = options.faults_per_batch;
-  copt.seed = options.seed;
-  copt.model = options.model;
-  copt.sites_per_fault = options.sites_per_fault;
-  copt.burst_vectors = options.burst_vectors;
 
   // Per-sample slots: pool workers write disjoint rows, reduced in sample
   // order afterwards (ordered merge), so counts are bit-identical for any
@@ -163,17 +154,14 @@ CoverageResult evaluate_ced_coverage(const CedDesign& ced,
     row.detected += erroneous - popcount_xor_and(z1, z2, err.data(), W, tail);
   };
   engine.run_campaign(
-      copt,
-      FaultSimEngine::make_sampler(options.model, ced.functional_nodes, copt),
+      options, FaultSimEngine::make_sampler(ced.functional_nodes, options),
       account);
   for (const Row& row : rows) {
     result.erroneous += row.erroneous;
     result.detected += row.detected;
   }
-  const int64_t vectors = options.vectors_per_fault > 0
-                              ? options.vectors_per_fault
-                              : static_cast<int64_t>(options.words_per_fault) * 64;
-  result.runs = static_cast<int64_t>(options.num_fault_samples) * vectors;
+  result.runs =
+      static_cast<int64_t>(options.num_fault_samples) * options.vectors();
   return result;
 }
 

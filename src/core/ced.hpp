@@ -70,29 +70,16 @@ struct CoverageResult {
   }
 };
 
-struct CoverageOptions {
-  int num_fault_samples = 2000;
-  int words_per_fault = 4;
-  /// Pattern vectors per fault. 0 (default) = words_per_fault * 64; a
-  /// positive value overrides words_per_fault and need not be a multiple
-  /// of 64 — padding bits of the final partial word are masked out of both
-  /// the engine's detection decisions and the coverage accounting.
-  int vectors_per_fault = 0;
-  /// Fault model injected over the functional gates through the engine's
-  /// stock samplers (FaultSimEngine::make_sampler), with the two knobs
-  /// below.
-  FaultModel model = FaultModel::kSingleStuckAt;
-  /// Simultaneous stuck-at sites per sample under kMultiStuckAt.
-  int sites_per_fault = 2;
-  /// Forced vector-window length under kTransientBurst.
-  int burst_vectors = 16;
-  /// Fault samples amortizing one shared golden simulation in the
-  /// FaultSimEngine (see src/sim/fault_engine.hpp).
-  int faults_per_batch = 64;
+/// Campaign knobs (sim/fault_engine.hpp). The fault model is injected over
+/// the functional gates through the engine's stock samplers; a
+/// vectors_per_fault that is not a multiple of 64 masks the final word's
+/// padding bits out of both the engine's detection decisions and the
+/// coverage accounting.
+struct CoverageOptions : CampaignOptions {
+  CoverageOptions() { seed = 0xCED; }
   /// Ignored; kept only because cedbench sets it; goes with the next
   /// change to that benchmark. Workers follow apx::thread_count().
   int num_threads = 0;
-  uint64_t seed = 0xCED;
 };
 
 CoverageResult evaluate_ced_coverage(const CedDesign& ced,

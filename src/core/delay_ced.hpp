@@ -9,9 +9,19 @@
 // value at the site is x2 AND x1 (x2 OR x1) for launch value x1 and capture
 // value x2, and the stale value propagates through the fanout cone. Both
 // PI fanout stems and gate outputs are fault sites.
+//
+// The measurement is an ordinary single-stuck-at fault campaign
+// (sim/fault_engine.hpp): a slow-to-rise (slow-to-fall) fault is a
+// stuck-at-0 (stuck-at-1) counted only on the vectors it launches. The
+// launch vector of capture vector k is vector k-1 of the same pattern batch,
+// so one golden simulation serves both patterns of every pair, and each
+// (launch, capture) pair is still two independent uniform vectors.
 #pragma once
 
+#include <cstdint>
+
 #include "core/ced.hpp"
+#include "sim/fault_engine.hpp"
 
 namespace apx {
 
@@ -27,9 +37,17 @@ struct DelayCoverageOptions {
   bool include_pi_stems = true;
 };
 
-/// Monte-Carlo transition-fault injection over the functional gates of a
-/// CED design, using random launch/capture pattern pairs. Throws
-/// std::invalid_argument for a non-positive words_per_fault.
+/// Word `w` of the vectors on which the transition fault injected as the
+/// stuck-at `site` is launched: the site rises (stuck-at-0, slow-to-rise)
+/// or falls (stuck-at-1, slow-to-fall) from vector k-1 to vector k of the
+/// view's batch, with vector 0 launched from the batch's last vector.
+uint64_t launched_vectors(const FaultView& view, const FaultSite& site,
+                          int w);
+
+/// Transition-fault campaign over the live functional gates (and, with
+/// include_pi_stems, the PI stems that have fanout) of a CED design; runs =
+/// num_fault_samples * words_per_fault * 64. A campaign with samples to run
+/// throws std::invalid_argument for a non-positive words_per_fault.
 CoverageResult evaluate_delay_fault_coverage(
     const CedDesign& ced, const DelayCoverageOptions& options = {});
 

@@ -1,13 +1,8 @@
 #include "core/masking.hpp"
 
-#include <algorithm>
-#include <random>
-#include <stdexcept>
-#include <string>
-
+#include "core/task_pool.hpp"
 #include "sim/fault_engine.hpp"
 #include "sim/kernels.hpp"
-#include "sim/rng.hpp"
 
 namespace apx {
 
@@ -59,61 +54,47 @@ MaskingDesign build_masking_design(
 
 MaskingResult evaluate_masking(const MaskingDesign& design,
                                const CoverageOptions& options) {
-  if (options.words_per_fault <= 0) {
-    throw std::invalid_argument(
-        "evaluate_masking: words_per_fault must be positive");
-  }
-  // Only the sample count, word count and seed steer this campaign;
-  // refuse settings it would silently ignore.
-  const CoverageOptions defaults;
-  auto reject = [](const char* field) {
-    throw std::invalid_argument(std::string("evaluate_masking: ") + field +
-                                " is not supported");
-  };
-  if (options.vectors_per_fault != defaults.vectors_per_fault) {
-    reject("vectors_per_fault");
-  }
-  if (options.model != defaults.model) reject("model");
-  if (options.sites_per_fault != defaults.sites_per_fault) {
-    reject("sites_per_fault");
-  }
-  if (options.burst_vectors != defaults.burst_vectors) reject("burst_vectors");
-  if (options.faults_per_batch != defaults.faults_per_batch) {
-    reject("faults_per_batch");
-  }
   MaskingResult result;
   const CedDesign& ced = design.ced;
-  if (ced.functional_nodes.empty()) return result;
-  std::mt19937_64 rng(options.seed);
+  if (ced.functional_nodes.empty() || options.num_fault_samples <= 0) {
+    return result;
+  }
   FaultSimEngine engine(ced.design);
-
-  const int W = options.words_per_fault;
-  std::vector<uint64_t> raw_row(W), masked_row(W);
+  // Per-slot counters and scratch rows, merged in slot order afterwards:
+  // integer sums are exact, so totals are bit-identical for any thread
+  // count.
+  struct SlotCounts {
+    int64_t raw_errors = 0;
+    int64_t masked_errors = 0;
+    std::vector<uint64_t> raw_row, masked_row;
+  };
+  std::vector<SlotCounts> slot(thread_count());
   auto count = [&](int, const FaultSpec&, const FaultView& v) {
-    std::fill(raw_row.begin(), raw_row.end(), 0);
-    std::fill(masked_row.begin(), masked_row.end(), 0);
+    SlotCounts& c = slot[v.worker_slot()];
+    const int W = v.num_words();
+    c.raw_row.assign(static_cast<size_t>(W), 0);
+    c.masked_row.assign(static_cast<size_t>(W), 0);
     for (size_t o = 0; o < ced.functional_outputs.size(); ++o) {
       NodeId y = ced.functional_outputs[o];
       NodeId m = design.masked_outputs[o];
-      accumulate_xor_or(raw_row.data(), v.golden(y), v.faulty(y), W);
+      accumulate_xor_or(c.raw_row.data(), v.golden(y), v.faulty(y), W);
       // The corrected output is judged against the fault-free *raw*
       // function (the masked output equals it in fault-free operation).
-      accumulate_xor_or(masked_row.data(), v.golden(y), v.faulty(m), W);
+      accumulate_xor_or(c.masked_row.data(), v.golden(y), v.faulty(m), W);
     }
-    result.raw_errors += popcount_words(raw_row.data(), W, ~0ULL);
-    result.masked_errors += popcount_words(masked_row.data(), W, ~0ULL);
+    const uint64_t tail = v.word_mask(W - 1);
+    c.raw_errors += popcount_words(c.raw_row.data(), W, tail);
+    c.masked_errors += popcount_words(c.masked_row.data(), W, tail);
   };
-  // One fault per sample on its own patterns, drawn in the order site,
-  // polarity, pattern seed.
-  for (int s = 0; s < options.num_fault_samples; ++s) {
-    NodeId site =
-        ced.functional_nodes[bounded_pick(rng, ced.functional_nodes.size())];
-    const bool stuck_value = (rng() & 1) != 0;
-    PatternSet patterns = PatternSet::random(ced.design.num_pis(), W, rng());
-    engine.run_batch(patterns, {FaultSpec::stuck_at(site, stuck_value)},
-                     count);
-    result.runs += 64ll * W;
+  engine.run_campaign(
+      options, FaultSimEngine::make_sampler(ced.functional_nodes, options),
+      count);
+  for (const SlotCounts& c : slot) {
+    result.raw_errors += c.raw_errors;
+    result.masked_errors += c.masked_errors;
   }
+  result.runs =
+      static_cast<int64_t>(options.num_fault_samples) * options.vectors();
   return result;
 }
 

@@ -8,6 +8,10 @@
 // at Y is silently masked whenever X=0. Dually, a 1-approximation masks
 // 1->0 errors with Y* = Y OR X. Masking composes with detection: the same
 // checkers still flag the error while the corrected output hides it.
+//
+// evaluate_masking measures raw vs corrected error rates with an ordinary
+// fault campaign (sim/fault_engine.hpp) over the functional gates, steered
+// by CoverageOptions exactly as evaluate_ced_coverage is.
 #pragma once
 
 #include <cstdint>
@@ -54,13 +58,9 @@ struct MaskingResult {
   }
 };
 
-/// Random single-stuck-at injection over the functional gates, one fault
-/// per sample on its own `words_per_fault` random pattern words. Reads
-/// num_fault_samples, words_per_fault and seed; throws
-/// std::invalid_argument, naming the field, for a non-positive
-/// words_per_fault and for any other field it would ignore: a nonzero
-/// vectors_per_fault, a model other than kSingleStuckAt, or
-/// sites_per_fault, burst_vectors or faults_per_batch off their defaults.
+/// Every CoverageOptions field steers the campaign (fault model, vectors
+/// per fault, batch size, seed); runs = num_fault_samples *
+/// options.vectors().
 MaskingResult evaluate_masking(const MaskingDesign& design,
                                const CoverageOptions& options = {});
 

@@ -23,34 +23,6 @@ std::string to_string(ApproxDirection d) {
   return d == ApproxDirection::kZeroApprox ? "0-approx" : "1-approx";
 }
 
-namespace {
-
-// Evaluates one node's SOP on the given fanin value words, with fanin k's
-// column complemented, into `out`.
-void eval_with_flip(const Node& n, const std::vector<WordSpan>& fanin,
-                    int flip_index, std::vector<uint64_t>& out) {
-  const Sop& sop = n.sop;
-  const int words = static_cast<int>(out.size());
-  for (int w = 0; w < words; ++w) {
-    uint64_t acc = 0;
-    for (const Cube& c : sop.cubes()) {
-      uint64_t t = ~0ULL;
-      for (int k = 0; k < sop.num_vars() && t; ++k) {
-        LitCode code = c.get(k);
-        if (code == LitCode::kFree) continue;
-        uint64_t v = fanin[k][w];
-        if (k == flip_index) v = ~v;
-        t &= (code == LitCode::kPos) ? v : ~v;
-      }
-      acc |= t;
-      if (acc == ~0ULL) break;
-    }
-    out[w] = acc;
-  }
-}
-
-}  // namespace
-
 ObservabilityAnalysis::ObservabilityAnalysis(const Network& net, int words,
                                              uint64_t seed) {
   Simulator sim(net);
@@ -66,20 +38,24 @@ ObservabilityAnalysis::ObservabilityAnalysis(const Network& net, int words,
     if (n.kind != NodeKind::kLogic) continue;
     obs_[id].resize(n.fanins.size());
 
-    std::vector<WordSpan> fanin;
+    std::vector<const uint64_t*> fanin;
     fanin.reserve(n.fanins.size());
-    for (NodeId f : n.fanins) fanin.push_back(sim.value(f));
+    for (NodeId f : n.fanins) fanin.push_back(sim.value(f).data());
     const WordSpan golden = sim.value(id);
 
-    std::vector<uint64_t> flipped(words);
+    // The node re-evaluated with fanin k's row complemented.
+    std::vector<uint64_t> complemented(words), flipped(words);
     for (size_t k = 0; k < n.fanins.size(); ++k) {
-      eval_with_flip(n, fanin, static_cast<int>(k), flipped);
+      const uint64_t* x = fanin[k];
+      for (int w = 0; w < words; ++w) complemented[w] = ~x[w];
+      fanin[k] = complemented.data();
+      eval_sop_words(n.sop, fanin.data(), words, flipped.data());
+      fanin[k] = x;
       // diff = golden ^ flipped splits over fanin k's value x as
       // c1 = |diff & x| and c0 = |diff| - c1, with |diff| by the
       // directional identity |a ^ b| = |~a & b| + |a & ~b|.
       const uint64_t* g = golden.data();
       const uint64_t* fl = flipped.data();
-      const uint64_t* x = fanin[k].data();
       int64_t c1 = popcount_xor_and(g, fl, x, words, ~0ULL);
       int64_t c0 = popcount_andnot(g, fl, words, ~0ULL) +
                    popcount_andnot(fl, g, words, ~0ULL) - c1;

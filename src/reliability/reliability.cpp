@@ -123,11 +123,6 @@ ReliabilityReport analyze_reliability(const Network& net,
   }
 
   FaultSimEngine engine(net);
-  CampaignOptions copt;
-  copt.num_fault_samples = options.num_fault_samples;
-  copt.words_per_fault = options.words_per_fault;
-  copt.faults_per_batch = options.faults_per_batch;
-  copt.seed = options.seed;
   // The accounting below is fault-agnostic; only the sampler changes with
   // the model. The single-stuck-at draw picks one of the 2N (node,
   // polarity) pairs, pair k being node k / 2 stuck at k & 1.
@@ -138,18 +133,15 @@ ReliabilityReport analyze_reliability(const Network& net,
       return FaultSpec::stuck_at(sites[k / 2], (k & 1) != 0);
     };
   } else {
-    copt.model = options.model;
-    copt.sites_per_fault = options.sites_per_fault;
-    copt.burst_vectors = options.burst_vectors;
-    sampler = FaultSimEngine::make_sampler(options.model, sites, copt);
+    sampler = FaultSimEngine::make_sampler(sites, options);
   }
 
   const int P = net.num_pos();
   const int key_words = (P + kPosPerWord - 1) / kPosPerWord;
   std::vector<NodeId> drivers(P);
   for (int o = 0; o < P; ++o) drivers[o] = net.po(o).driver;
-  const int64_t runs = static_cast<int64_t>(options.num_fault_samples) *
-                       options.words_per_fault * 64;
+  const int64_t runs =
+      static_cast<int64_t>(options.num_fault_samples) * options.vectors();
 
   // Lock-free accumulation: each pool slot owns private exact integer
   // counters, merged in slot order after the campaign. Integer sums are
@@ -162,8 +154,8 @@ ReliabilityReport analyze_reliability(const Network& net,
   // signature is counted here and scored against the directions after the
   // merge.
   std::vector<SlotCounts> slot(thread_count(), SlotCounts(P, key_words));
-  engine.run_campaign(copt, sampler, [&](int, const FaultSpec&,
-                                         const FaultView& v) {
+  engine.run_campaign(options, sampler, [&](int, const FaultSpec&,
+                                            const FaultView& v) {
     SlotCounts& c = slot[v.worker_slot()];
     c.touched.clear();
     for (int o = 0; o < P; ++o) {

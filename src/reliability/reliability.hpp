@@ -57,27 +57,14 @@ struct ReliabilityReport {
   int64_t runs = 0;
 };
 
-struct ReliabilityOptions {
-  /// Number of faults to sample. Total runs = num_fault_samples *
-  /// words_per_fault * 64.
-  int num_fault_samples = 2000;
-  /// Words of random vectors per sampled fault (64 vectors per word).
-  int words_per_fault = 4;
-  /// Fault model driving the error-rate campaign. kSingleStuckAt draws one
-  /// of the 2N (logic node, polarity) pairs; the other models use the
-  /// engine's stock samplers over the logic nodes.
-  FaultModel model = FaultModel::kSingleStuckAt;
-  /// Simultaneous stuck-at sites per sample under kMultiStuckAt.
-  int sites_per_fault = 2;
-  /// Forced vector-window length under kTransientBurst.
-  int burst_vectors = 16;
-  /// Fault samples amortizing one shared golden simulation in the
-  /// FaultSimEngine (see src/sim/fault_engine.hpp).
-  int faults_per_batch = 64;
+/// Campaign knobs (sim/fault_engine.hpp) at their defaults; total runs =
+/// num_fault_samples * vectors(). Under kSingleStuckAt the campaign draws
+/// one of the 2N (logic node, polarity) pairs; the other models use the
+/// engine's stock samplers over the logic nodes.
+struct ReliabilityOptions : CampaignOptions {
   /// Ignored; kept only because cedbench sets it; goes with the next
   /// change to that benchmark. Workers follow apx::thread_count().
   int num_threads = 0;
-  uint64_t seed = 0x5EED;
 };
 
 /// Runs Monte-Carlo fault injection on `net` and aggregates per-output

@@ -289,9 +289,7 @@ void FaultSimEngine::run_campaign(const CampaignOptions& options,
         "FaultSimEngine::run_campaign: non-positive batch geometry");
   }
   trace::Span span("faultsim.campaign");
-  const int vectors = options.vectors_per_fault > 0
-                          ? options.vectors_per_fault
-                          : options.words_per_fault * 64;
+  const int vectors = options.vectors();
   const int words = (vectors + 63) / 64;
   const int samples = options.num_fault_samples;
   if (samples <= 0) return;
@@ -362,16 +360,13 @@ void FaultSimEngine::run_batch(const PatternSet& patterns,
 }
 
 FaultSimEngine::Sampler FaultSimEngine::make_sampler(
-    FaultModel model, std::vector<NodeId> sites,
-    const CampaignOptions& options) {
+    std::vector<NodeId> sites, const CampaignOptions& options) {
   if (sites.empty()) {
     throw std::invalid_argument(
         "FaultSimEngine::make_sampler: empty site list");
   }
-  const int vectors = options.vectors_per_fault > 0
-                          ? options.vectors_per_fault
-                          : options.words_per_fault * 64;
-  switch (model) {
+  const int vectors = options.vectors();
+  switch (options.model) {
     case FaultModel::kSingleStuckAt:
       // Site first, then polarity: the draw order every recorded
       // single-stuck-at coverage result depends on.

@@ -154,7 +154,10 @@ class FaultView {
 
 /// A Monte-Carlo campaign: `num_fault_samples` sampled faults, each
 /// simulated against `words_per_fault` 64-bit pattern words, with
-/// `faults_per_batch` samples amortizing one shared golden run.
+/// `faults_per_batch` samples amortizing one shared golden run. The one
+/// declaration of the campaign knobs: the option structs of reliability,
+/// CED coverage, masking and partial duplication derive from it and only
+/// change its defaults.
 struct CampaignOptions {
   int num_fault_samples = 2000;
   int words_per_fault = 4;
@@ -178,6 +181,11 @@ struct CampaignOptions {
   /// Length of the forced vector window under kTransientBurst (clamped to
   /// [1, vectors]; the window start is derived from the sample seed).
   int burst_vectors = 16;
+
+  /// Pattern vectors each fault is simulated against.
+  int vectors() const {
+    return vectors_per_fault > 0 ? vectors_per_fault : words_per_fault * 64;
+  }
 };
 
 /// Bit-parallel fault-simulation engine over a fixed network.
@@ -222,7 +230,7 @@ class FaultSimEngine {
   /// campaign's vector range, both derived purely from the sample seed.
   /// kSingleStuckAt draws the site as `rng() % sites.size()`, then the
   /// polarity, from one SplitMix64 stream. `sites` must be non-empty.
-  static Sampler make_sampler(FaultModel model, std::vector<NodeId> sites,
+  static Sampler make_sampler(std::vector<NodeId> sites,
                               const CampaignOptions& options);
 
   /// True when a stuck-at of this polarity at `node` can ever produce an

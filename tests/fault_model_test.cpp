@@ -16,6 +16,7 @@
 #include "baselines/partial_duplication.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "core/ced.hpp"
+#include "core/delay_ced.hpp"
 #include "core/task_pool.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/optimize.hpp"
@@ -230,6 +231,34 @@ TEST(FaultModelTest, ModelCampaignsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(r1.erroneous, r4.erroneous) << fault_model_name(model);
     EXPECT_EQ(r1.detected, r4.detected) << fault_model_name(model);
   }
+
+  // Reliability and partial duplication read the same campaign knobs,
+  // vectors_per_fault included.
+  Network mapped = technology_map(quick_synthesis(make_benchmark("cmp4")));
+  ReliabilityOptions ro;
+  ro.num_fault_samples = 200;
+  ro.vectors_per_fault = 100;
+  PartialDuplicationOptions po;
+  po.num_fault_samples = 200;
+  po.vectors_per_fault = 100;
+  auto run = [&](int threads) {
+    const ScopedThreadCount limit(threads);
+    return std::pair{analyze_reliability(mapped, ro),
+                     build_partial_duplication(mapped, 0.9, po)};
+  };
+  const auto [rel1, dup1] = run(1);
+  const auto [rel4, dup4] = run(4);
+  EXPECT_EQ(rel1.runs, 200 * 100);
+  EXPECT_GT(rel1.any_output_error_rate, 0.0);
+  EXPECT_EQ(rel1.any_output_error_rate, rel4.any_output_error_rate);
+  EXPECT_EQ(rel1.max_ced_coverage, rel4.max_ced_coverage);
+  for (size_t o = 0; o < rel1.outputs.size(); ++o) {
+    EXPECT_EQ(rel1.outputs[o].rate_0_to_1, rel4.outputs[o].rate_0_to_1);
+    EXPECT_EQ(rel1.outputs[o].rate_1_to_0, rel4.outputs[o].rate_1_to_0);
+  }
+  EXPECT_FALSE(dup1.duplicated_pos.empty());
+  EXPECT_EQ(dup1.duplicated_pos, dup4.duplicated_pos);
+  EXPECT_EQ(dup1.estimated_coverage, dup4.estimated_coverage);
 }
 
 TEST(FaultModelTest, ModelKnobChangesTheSampledCampaign) {
@@ -367,13 +396,11 @@ TEST(FaultModelTest, SpecValidationCatchesStructuralErrors) {
 
 TEST(FaultModelTest, MakeSamplerValidatesItsInputs) {
   CampaignOptions opt;
-  EXPECT_THROW(
-      FaultSimEngine::make_sampler(FaultModel::kSingleStuckAt, {}, opt),
-      std::invalid_argument);
+  EXPECT_THROW(FaultSimEngine::make_sampler({}, opt), std::invalid_argument);
+  opt.model = FaultModel::kMultiStuckAt;
   opt.sites_per_fault = 3;
-  EXPECT_THROW(
-      FaultSimEngine::make_sampler(FaultModel::kMultiStuckAt, {1, 2}, opt),
-      std::invalid_argument);
+  EXPECT_THROW(FaultSimEngine::make_sampler({1, 2}, opt),
+               std::invalid_argument);
 }
 
 TEST(FaultModelTest, StockSamplersArePureInTheSampleSeed) {
@@ -385,8 +412,8 @@ TEST(FaultModelTest, StockSamplersArePureInTheSampleSeed) {
        {FaultModel::kSingleStuckAt, FaultModel::kMultiStuckAt,
         FaultModel::kTransientBurst}) {
     opt.model = model;
-    auto s1 = FaultSimEngine::make_sampler(model, sites, opt);
-    auto s2 = FaultSimEngine::make_sampler(model, sites, opt);
+    auto s1 = FaultSimEngine::make_sampler(sites, opt);
+    auto s2 = FaultSimEngine::make_sampler(sites, opt);
     for (uint64_t seed : {1ull, 42ull, 0xDEADull}) {
       const FaultSpec a = s1(seed);
       const FaultSpec b = s2(seed);
@@ -457,15 +484,13 @@ TEST(FaultModelTest, SimulatorStuckAtInjectionSteadyStateDoesNotAllocate) {
       << "sink=" << sink;
 }
 
-// Transition faults as delay CED injects them: a stuck-at on the capture
-// patterns whose error row is masked by the launch transition read from a
-// golden run on the launch patterns.
+// Transition faults as delay CED injects them: a stuck-at whose error row
+// is masked by the transitions launched from the previous vector of the
+// same batch (launched_vectors), read from the golden plane.
 TEST(FaultModelTest, TransitionSimulatorSteadyStateDoesNotAllocate) {
   Network net = make_benchmark("c17");
   const std::vector<FaultSpec> all = every_stuck_at(net);
   constexpr int kWords = 4;
-  Simulator launch(net);
-  launch.run(PatternSet::random(net.num_pis(), kWords, 11));
   PatternSet capture = PatternSet::random(net.num_pis(), kWords, 22);
   FaultSimEngine engine(net);
   std::vector<uint64_t> err_row(kWords);
@@ -473,13 +498,9 @@ TEST(FaultModelTest, TransitionSimulatorSteadyStateDoesNotAllocate) {
   const FaultSimEngine::Visitor visit = [&](int, const FaultSpec& f,
                                             const FaultView& v) {
     const NodeId site = f.sites[0].node;
-    const bool slow_to_rise = !f.sites[0].stuck_value;
-    const WordSpan before = launch.value(site);
-    const uint64_t* after = v.golden(site);
     for (int w = 0; w < kWords; ++w) {
-      const uint64_t launched =
-          slow_to_rise ? ~before[w] & after[w] : before[w] & ~after[w];
-      err_row[w] = (v.golden(site)[w] ^ v.faulty(site)[w]) & launched;
+      err_row[w] = (v.golden(site)[w] ^ v.faulty(site)[w]) &
+                   launched_vectors(v, f.sites[0], w);
       sink ^= err_row[w];
     }
   };

@@ -4,9 +4,12 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "benchmarks/benchmarks.hpp"
 #include "core/approx_synthesis.hpp"
+#include "core/task_pool.hpp"
+#include "core/trace.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/optimize.hpp"
 #include "sim/fault_engine.hpp"
@@ -115,76 +118,87 @@ TEST(MaskingTest, RejectsNonPositiveWordCounts) {
   }
 }
 
-// evaluate_masking reads only the sample count, word count, seed and thread
-// cap; each field it would ignore is refused by name.
-void expect_rejected(void (*set)(CoverageOptions&), const std::string& field) {
-  Network net = make_benchmark("c17");
-  std::vector<ApproxDirection> dirs(net.num_pos(),
-                                    ApproxDirection::kZeroApprox);
-  MaskingDesign d = perfect_masking_design(dirs, net);
-  CoverageOptions copt;
-  copt.num_fault_samples = 4;
-  set(copt);
-  try {
-    evaluate_masking(d, copt);
-    ADD_FAILURE() << field << " was accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(MaskingTest, RejectsVectorsPerFault) {
-  expect_rejected([](CoverageOptions& o) { o.vectors_per_fault = 100; },
-                  "vectors_per_fault");
-}
-
-TEST(MaskingTest, RejectsNonSingleStuckAtModel) {
-  expect_rejected([](CoverageOptions& o) { o.model = FaultModel::kMultiStuckAt; },
-                  "model");
-  expect_rejected(
-      [](CoverageOptions& o) { o.model = FaultModel::kTransientBurst; },
-      "model");
-}
-
-TEST(MaskingTest, RejectsSitesPerFault) {
-  expect_rejected([](CoverageOptions& o) { o.sites_per_fault = 3; },
-                  "sites_per_fault");
-}
-
-TEST(MaskingTest, RejectsBurstVectors) {
-  expect_rejected([](CoverageOptions& o) { o.burst_vectors = 8; },
-                  "burst_vectors");
-}
-
-TEST(MaskingTest, RejectsFaultsPerBatch) {
-  expect_rejected([](CoverageOptions& o) { o.faults_per_batch = 16; },
-                  "faults_per_batch");
-}
-
-// Exact counts recorded from the serial Simulator::inject implementation:
-// the engine-backed evaluation must reproduce them bit for bit (same draws
-// per sample: site, polarity, pattern seed).
-TEST(MaskingPinTest, RawAndMaskedErrorsReproduceRecordedCounts) {
+MaskingDesign cmp4_masking_design() {
   Network net = make_benchmark("cmp4");
   std::vector<ApproxDirection> dirs(net.num_pos(),
                                     ApproxDirection::kZeroApprox);
   dirs[1] = ApproxDirection::kOneApprox;
-  MaskingDesign d = perfect_masking_design(dirs, net);
+  return perfect_masking_design(dirs, net);
+}
+
+// Exact counts recorded from the campaign form of evaluate_masking: sample
+// i's fault is drawn from derive_seed(seed, i) by the stock single-stuck-at
+// sampler, batch b's patterns from derive_seed(seed ^ kPatternStream, b).
+TEST(MaskingPinTest, RawAndMaskedErrorsReproduceRecordedCounts) {
+  const MaskingDesign d = cmp4_masking_design();
   CoverageOptions copt;
   copt.num_fault_samples = 300;
   copt.words_per_fault = 3;
   MaskingResult mr = evaluate_masking(d, copt);
   EXPECT_EQ(mr.runs, 57600);
-  EXPECT_EQ(mr.raw_errors, 9410);
-  EXPECT_EQ(mr.masked_errors, 4417);
+  EXPECT_EQ(mr.raw_errors, 11119);
+  EXPECT_EQ(mr.masked_errors, 5813);
 
   copt.seed = 0xC0FFEE;
   copt.words_per_fault = 1;
   MaskingResult mr2 = evaluate_masking(d, copt);
   EXPECT_EQ(mr2.runs, 19200);
-  EXPECT_EQ(mr2.raw_errors, 3320);
-  EXPECT_EQ(mr2.masked_errors, 1839);
+  EXPECT_EQ(mr2.raw_errors, 3329);
+  EXPECT_EQ(mr2.masked_errors, 1502);
+}
+
+// Masking is an ordinary campaign: every CoverageOptions field steers it,
+// and the counts are the same on any number of workers.
+TEST(MaskingTest, EveryOptionIsBitIdenticalAcrossThreadCounts) {
+  const MaskingDesign d = cmp4_masking_design();
+  CoverageOptions base;
+  base.num_fault_samples = 200;
+  base.faults_per_batch = 16;
+  std::vector<CoverageOptions> inputs(4, base);
+  inputs[1].vectors_per_fault = 100;  // tail-masked final word
+  inputs[2].model = FaultModel::kMultiStuckAt;
+  inputs[2].sites_per_fault = 3;
+  inputs[3].model = FaultModel::kTransientBurst;
+  inputs[3].burst_vectors = 24;
+  std::vector<MaskingResult> at_one;
+  for (const CoverageOptions& copt : inputs) {
+    auto run = [&](int threads) {
+      const ScopedThreadCount limit(threads);
+      return evaluate_masking(d, copt);
+    };
+    const MaskingResult r1 = run(1);
+    EXPECT_EQ(r1.runs, 200LL * copt.vectors());
+    EXPECT_GT(r1.raw_errors, 0);
+    EXPECT_LE(r1.masked_errors, r1.raw_errors);
+    for (int threads : {2, 4}) {
+      const MaskingResult rn = run(threads);
+      EXPECT_EQ(rn.runs, r1.runs) << threads << " threads";
+      EXPECT_EQ(rn.raw_errors, r1.raw_errors) << threads << " threads";
+      EXPECT_EQ(rn.masked_errors, r1.masked_errors) << threads << " threads";
+    }
+    at_one.push_back(r1);
+  }
+  // Each field changes the sampled campaign.
+  for (size_t i = 1; i < at_one.size(); ++i) {
+    EXPECT_NE(at_one[i].raw_errors, at_one[0].raw_errors) << "input " << i;
+  }
+}
+
+// One golden simulation per pattern batch, not per sample: 300 samples in
+// batches of 64 are five batches.
+TEST(MaskingTest, CampaignSimulatesGoldenOncePerBatch) {
+  const MaskingDesign d = cmp4_masking_design();
+  CoverageOptions copt;
+  copt.num_fault_samples = 300;
+  trace::reset();
+  trace::set_trace_enabled(true);
+  evaluate_masking(d, copt);
+  trace::set_trace_enabled(false);
+  const int64_t batches = trace::counter("faultsim.batches").value();
+  const int64_t sims = trace::counter("faultsim.fault_sims").value();
+  trace::reset();
+  EXPECT_EQ(batches, 5);
+  EXPECT_EQ(sims, 300);
 }
 
 }  // namespace

@@ -152,23 +152,24 @@ TwoPassReference two_pass_reference(const Network& net,
   for (NodeId id = 0; id < net.num_nodes(); ++id) {
     if (net.node(id).kind == NodeKind::kLogic) sites.push_back(id);
   }
-  CampaignOptions copt;
-  copt.words_per_fault = opt.words_per_fault;
-  copt.model = opt.model;
-  copt.sites_per_fault = opt.sites_per_fault;
-  copt.burst_vectors = opt.burst_vectors;
   FaultSimEngine::Sampler sampler =
       opt.model == FaultModel::kSingleStuckAt
           ? [&sites](uint64_t seed) {
               const uint64_t k = SplitMix64(seed).next() % (2 * sites.size());
               return FaultSpec::stuck_at(sites[k / 2], (k & 1) != 0);
             }
-          : FaultSimEngine::make_sampler(opt.model, sites, copt);
+          : FaultSimEngine::make_sampler(sites, opt);
   std::vector<FaultSpec> faults;
   for (int i = 0; i < opt.num_fault_samples; ++i) {
     faults.push_back(sampler(derive_seed(opt.seed, static_cast<uint64_t>(i))));
   }
-  const int W = opt.words_per_fault;
+  const int vectors = opt.vectors();
+  const int W = (vectors + 63) / 64;
+  // Valid vectors of word w: a partial final word's padding never counts.
+  auto valid = [&](int w) {
+    return w + 1 < W || vectors % 64 == 0 ? ~0ULL
+                                          : (1ULL << (vectors % 64)) - 1;
+  };
   const int P = net.num_pos();
   const int num_batches =
       (opt.num_fault_samples + opt.faults_per_batch - 1) / opt.faults_per_batch;
@@ -197,11 +198,12 @@ TwoPassReference two_pass_reference(const Network& net,
           const NodeId drv = net.po(o).driver;
           const uint64_t g = golden[drv][w];
           const uint64_t f = faulty[drv][w];
-          count01[o] += std::popcount(~g & f);
-          count10[o] += std::popcount(g & ~f);
-          multi |= any & (g ^ f);
-          any |= g ^ f;
-          (o < kPosPerKeyWord ? first : later) |= g ^ f;
+          const uint64_t d = (g ^ f) & valid(w);
+          count01[o] += std::popcount(d & f);
+          count10[o] += std::popcount(d & g);
+          multi |= any & d;
+          any |= d;
+          (o < kPosPerKeyWord ? first : later) |= d;
         }
         any_error += std::popcount(any);
         ref.multi_po_vectors += std::popcount(multi);
@@ -209,7 +211,7 @@ TwoPassReference two_pass_reference(const Network& net,
       }
     }
   }
-  const int64_t runs = static_cast<int64_t>(opt.num_fault_samples) * W * 64;
+  const int64_t runs = static_cast<int64_t>(opt.num_fault_samples) * vectors;
   ref.report.outputs.resize(P);
   for (int o = 0; o < P; ++o) {
     ref.report.outputs[o].rate_0_to_1 =
@@ -236,7 +238,9 @@ TwoPassReference two_pass_reference(const Network& net,
                                          : g[w] & ~f[w];
                          }
                        }
-                       for (uint64_t x : row) dominant += std::popcount(x);
+                       for (int w = 0; w < W; ++w) {
+                         dominant += std::popcount(row[w] & valid(w));
+                       }
                      });
   }
   ref.report.runs = runs;
@@ -264,13 +268,19 @@ TEST(ReliabilityReferenceTest, SinglePassMatchesTwoPassReference) {
     // Vectors whose signature names two or more erring POs, and for the
     // wide network, ones whose erring POs fall in more than one key word.
     int64_t multi_po_vectors = 0, spanning_key_words = 0;
-    for (FaultModel model :
-         {FaultModel::kSingleStuckAt, FaultModel::kMultiStuckAt,
-          FaultModel::kTransientBurst}) {
-      SCOPED_TRACE(name + " " + fault_model_name(model));
+    // The last input gives each fault 100 vectors: a tail-masked final
+    // word.
+    for (const auto& [model, vectors] :
+         {std::pair{FaultModel::kSingleStuckAt, 0},
+          std::pair{FaultModel::kMultiStuckAt, 0},
+          std::pair{FaultModel::kTransientBurst, 0},
+          std::pair{FaultModel::kSingleStuckAt, 100}}) {
+      SCOPED_TRACE(name + " " + fault_model_name(model) + " vectors " +
+                   std::to_string(vectors));
       ReliabilityOptions opt;
       opt.num_fault_samples = 150;
       opt.words_per_fault = 2;
+      opt.vectors_per_fault = vectors;
       opt.faults_per_batch = 16;  // ten batches, the last one partial
       opt.model = model;
       opt.burst_vectors = 40;     // windows straddle the word boundary

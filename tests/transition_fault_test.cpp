@@ -7,10 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <random>
 
 #include "benchmarks/benchmarks.hpp"
 #include "core/delay_ced.hpp"
+#include "core/task_pool.hpp"
+#include "core/trace.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/optimize.hpp"
 #include "reference_sim.hpp"
@@ -133,31 +134,36 @@ TEST(DelayCedTest, PiStemTransitionIsDetected) {
 // Delay CED on a duplicated buffer: every erroneous capture is a launched
 // transition of the input, and the 0-approximate checker flags exactly the
 // slow-to-fall ones (a stale 1 where the buffer should read 0). The
-// expected counts replay the documented draw order per sample: site,
-// polarity, launch seed, capture seed.
+// expected counts replay the campaign stream: sample i draws its site, then
+// its polarity, from derive_seed(seed, i); batch b = i / faults_per_batch
+// draws its patterns from derive_seed(seed ^ kPatternStream, b); and
+// capture vector k launches from vector k - 1 of its batch, vector 0 from
+// the batch's last vector.
 TEST(DelayCedTest, ErroneousCapturesAreExactlyTheLaunchedTransitions) {
   Network net;
   NodeId a = net.add_pi("a");
   net.add_po("y", net.add_buf(a, "y"));
   CedDesign ced = build_ced_design(net, net, {ApproxDirection::kZeroApprox});
   DelayCoverageOptions opt;
-  opt.num_fault_samples = 50;
+  opt.num_fault_samples = 150;  // three batches, the last one partial
   opt.words_per_fault = 2;
   opt.include_pi_stems = false;
-  const std::vector<NodeId> functional = ced.functional_nodes;
-  ASSERT_EQ(functional.size(), 1u);
+  ASSERT_EQ(ced.functional_nodes.size(), 1u);
 
-  std::mt19937_64 rng(opt.seed);
+  const int W = opt.words_per_fault;
+  const int per_batch = CampaignOptions{}.faults_per_batch;
   int64_t erroneous = 0, detected = 0;
   for (int s = 0; s < opt.num_fault_samples; ++s) {
-    bounded_pick(rng, functional.size());
-    const bool slow_to_rise = (rng() & 1) != 0;
-    const PatternSet launch = PatternSet::random(1, opt.words_per_fault, rng());
-    const PatternSet capture =
-        PatternSet::random(1, opt.words_per_fault, rng());
-    for (int w = 0; w < opt.words_per_fault; ++w) {
-      const uint64_t x1 = launch.word(0, w);
+    SplitMix64 rng(derive_seed(opt.seed, static_cast<uint64_t>(s)));
+    rng.next();  // the site: the buffer is the only one
+    const bool slow_to_rise = (rng.next() & 1) == 0;  // stuck-at-0
+    const PatternSet capture = PatternSet::random(
+        1, W,
+        derive_seed(opt.seed ^ FaultSimEngine::kPatternStream,
+                    static_cast<uint64_t>(s / per_batch)));
+    for (int w = 0; w < W; ++w) {
       const uint64_t x2 = capture.word(0, w);
+      const uint64_t x1 = (x2 << 1) | (capture.word(0, (w + W - 1) % W) >> 63);
       const int rises = std::popcount(~x1 & x2);
       const int falls = std::popcount(x1 & ~x2);
       erroneous += slow_to_rise ? rises : falls;
@@ -165,11 +171,26 @@ TEST(DelayCedTest, ErroneousCapturesAreExactlyTheLaunchedTransitions) {
     }
   }
   const CoverageResult r = evaluate_delay_fault_coverage(ced, opt);
-  EXPECT_EQ(r.runs, 50 * 2 * 64);
+  EXPECT_EQ(r.runs, 150 * 2 * 64);
   EXPECT_EQ(r.erroneous, erroneous);
   EXPECT_EQ(r.detected, detected);
   EXPECT_GT(detected, 0);
   EXPECT_LT(detected, erroneous);
+}
+
+// A PI without fanout can never err, and a campaign refuses dead sites:
+// delay CED samples only the PI stems that have fanout.
+TEST(DelayCedTest, PiStemsWithoutFanoutAreNotSampled) {
+  Network net;
+  NodeId a = net.add_pi("a");
+  net.add_pi("unused");
+  net.add_po("y", net.add_not(a, "y"));
+  CedDesign ced = build_ced_design(net, net, {ApproxDirection::kZeroApprox});
+  DelayCoverageOptions opt;
+  opt.num_fault_samples = 200;
+  const CoverageResult r = evaluate_delay_fault_coverage(ced, opt);
+  EXPECT_EQ(r.runs, 200 * 4 * 64);
+  EXPECT_GT(r.erroneous, 0);
 }
 
 TEST(DelayCedTest, RejectsNonPositiveWordCounts) {
@@ -247,6 +268,8 @@ TEST(DelayCedTest, PiStemFaultsAreCommonModeInExactDuplication) {
   EXPECT_NE(z1, z2);
 }
 
+// Same counts on every run and on any number of workers, with and without
+// PI stems.
 TEST(DelayCedTest, CoverageBoundedAndDeterministic) {
   Network net = make_benchmark("cmp4");
   Network opt = quick_synthesis(net);
@@ -254,37 +277,68 @@ TEST(DelayCedTest, CoverageBoundedAndDeterministic) {
   std::vector<ApproxDirection> dirs(net.num_pos(),
                                     ApproxDirection::kZeroApprox);
   CedDesign ced = build_ced_design(mapped, mapped, dirs);
-  DelayCoverageOptions dopt;
-  dopt.num_fault_samples = 200;
-  CoverageResult one = evaluate_delay_fault_coverage(ced, dopt);
-  CoverageResult two = evaluate_delay_fault_coverage(ced, dopt);
-  EXPECT_EQ(one.detected, two.detected);
-  EXPECT_LE(one.detected, one.erroneous);
+  for (bool stems : {true, false}) {
+    DelayCoverageOptions dopt;
+    dopt.num_fault_samples = 200;
+    dopt.include_pi_stems = stems;
+    auto run = [&](int threads) {
+      const ScopedThreadCount limit(threads);
+      return evaluate_delay_fault_coverage(ced, dopt);
+    };
+    const CoverageResult one = run(1);
+    EXPECT_GT(one.erroneous, 0) << "stems " << stems;
+    EXPECT_LE(one.detected, one.erroneous) << "stems " << stems;
+    for (int threads : {1, 2, 4}) {
+      const CoverageResult again = run(threads);
+      EXPECT_EQ(again.runs, one.runs) << threads << " threads";
+      EXPECT_EQ(again.erroneous, one.erroneous) << threads << " threads";
+      EXPECT_EQ(again.detected, one.detected) << threads << " threads";
+    }
+  }
 }
 
-// Exact counts recorded from the two-Simulator transition-fault
-// implementation: the engine-backed evaluation (stuck-at counted on the
-// launch mask) must reproduce them bit for bit.
-TEST(DelayCedPinTest, ErroneousAndDetectedReproduceRecordedCounts) {
-  Network net = make_benchmark("cmp4");
-  Network mapped = technology_map(quick_synthesis(net));
-  std::vector<ApproxDirection> dirs(net.num_pos(),
+CedDesign cmp4_delay_ced() {
+  Network mapped = technology_map(quick_synthesis(make_benchmark("cmp4")));
+  std::vector<ApproxDirection> dirs(mapped.num_pos(),
                                     ApproxDirection::kZeroApprox);
   dirs[0] = ApproxDirection::kOneApprox;
-  CedDesign ced = build_ced_design(mapped, mapped, dirs);
+  return build_ced_design(mapped, mapped, dirs);
+}
+
+// Exact counts recorded from the campaign form of delay CED (launch vector
+// k - 1 of the capture batch).
+TEST(DelayCedPinTest, ErroneousAndDetectedReproduceRecordedCounts) {
+  const CedDesign ced = cmp4_delay_ced();
   DelayCoverageOptions dopt;
   dopt.num_fault_samples = 300;
   dopt.words_per_fault = 3;
   CoverageResult with_stems = evaluate_delay_fault_coverage(ced, dopt);
   EXPECT_EQ(with_stems.runs, 57600);
-  EXPECT_EQ(with_stems.erroneous, 4296);
-  EXPECT_EQ(with_stems.detected, 1617);
+  EXPECT_EQ(with_stems.erroneous, 4343);
+  EXPECT_EQ(with_stems.detected, 1401);
 
   dopt.include_pi_stems = false;
   CoverageResult gates_only = evaluate_delay_fault_coverage(ced, dopt);
   EXPECT_EQ(gates_only.runs, 57600);
-  EXPECT_EQ(gates_only.erroneous, 3733);
-  EXPECT_EQ(gates_only.detected, 1904);
+  EXPECT_EQ(gates_only.erroneous, 4322);
+  EXPECT_EQ(gates_only.detected, 1700);
+}
+
+// One golden simulation per pattern batch serves both the launch and the
+// capture vectors: 300 samples in batches of 64 are five batches.
+TEST(DelayCedTest, CampaignSimulatesGoldenOncePerBatch) {
+  const CedDesign ced = cmp4_delay_ced();
+  DelayCoverageOptions opt;
+  opt.num_fault_samples = 300;
+  trace::reset();
+  trace::set_trace_enabled(true);
+  evaluate_delay_fault_coverage(ced, opt);
+  trace::set_trace_enabled(false);
+  const int64_t batches = trace::counter("faultsim.batches").value();
+  const int64_t sims = trace::counter("faultsim.fault_sims").value();
+  trace::reset();
+  EXPECT_EQ(batches, 5);
+  EXPECT_EQ(sims, 300);
 }
 
 }  // namespace
